@@ -7,7 +7,7 @@
 // the tuner can roam hostile corners of the config space without taking
 // the sweep down.
 //
-//   bench_tune -t XMalloc,ScatterAlloc --generations 4 --population 12 \
+//   bench_tune -t XMalloc,ScatterAlloc --generations 4 --population 12
 //              --json BENCH_tune.json
 //
 // Workloads default to the committed tuning corpus

@@ -28,13 +28,20 @@ class ListHeap {
   /// classified and budgeted separately:
   ///  - a pass that saw a *free* fitting block lost a claim race — not
   ///    evidence of exhaustion at all, both counters reset;
-  ///  - a pass that saw a fitting block *held allocated* is inconclusive:
-  ///    under a malloc storm the big tail block is claimed nearly
-  ///    continuously by a rotating series of winners mid-split, and a walker
-  ///    can sample dozens of passes without ever catching it free (observed:
-  ///    1024 replay lanes OOM-ing against a 97%-free heap);
-  ///  - only a pass that saw *no* fitting block, free or held, is real
-  ///    evidence, and a few such passes suffice.
+  ///  - a pass that saw a fitting block *held allocated* while a transient
+  ///    hold was in flight is contended: under a malloc storm the big tail
+  ///    block is claimed nearly continuously by a rotating series of
+  ///    winners mid-split, and a walker can sample dozens of passes without
+  ///    ever catching it free (observed: 1024 replay lanes OOM-ing against
+  ///    a 97%-free heap);
+  ///  - any other pass is fruitless, real evidence, and a few suffice. A
+  ///    held fit with no hold in flight is a finished allocation, which is
+  ///    all a full heap holds.
+  /// A transient hold is a claim until its split is published (or the block
+  /// released), or a free merging its successor until it releases its own
+  /// block. Each bumps `holds_.begun` before and `holds_.finished` after,
+  /// so a pass overlapped one iff `begun` read at its end differs from
+  /// `finished` read at its start.
   static constexpr unsigned kMaxFruitlessPasses = 8;
   static constexpr unsigned kMaxContendedPasses = 256;
 
@@ -72,13 +79,15 @@ class ListHeap {
     unsigned contended_passes = 0;
     bool saw_free_fit = false;
     bool saw_held_fit = false;
+    std::uint64_t finished_at_start = ctx.atomic_load(&holds_.finished);
     for (std::size_t step = 0; step < 2 * std::size_t{units_} + 64; ++step) {
       if (off >= units_) {
         // End of one pass over the list; judge it per the class comment.
         if (saw_free_fit) {
           fruitless_passes = 0;
           contended_passes = 0;
-        } else if (saw_held_fit) {
+        } else if (saw_held_fit &&
+                   ctx.atomic_load(&holds_.begun) != finished_at_start) {
           if (++contended_passes >= kMaxContendedPasses) return nullptr;
           ctx.backoff();  // park so the mid-split holder gets to publish
         } else {
@@ -87,6 +96,7 @@ class ListHeap {
         }
         saw_free_fit = false;
         saw_held_fit = false;
+        finished_at_start = ctx.atomic_load(&holds_.finished);
         off = 0;
         continue;
       }
@@ -107,21 +117,10 @@ class ListHeap {
         // A free block that fits. Even if the claim below loses a race, this
         // pass was not fruitless — the space existed, some lane got it.
         saw_free_fit = true;
-        if (try_claim(ctx, off)) {
-          const std::uint32_t owned_next = ctx.atomic_load(link(off));
-          const std::uint32_t avail = owned_next - off - 1;
-          if (avail < need) {
-            release(ctx, off);
-          } else {
-            if (avail - need >= min_split_units_) {  // split usable remainder
-              const std::uint32_t split = off + need + 1;
-              ctx.atomic_store(link(split), owned_next);
-              ctx.atomic_or(&flags_[split / 32], start_bit(split));
-              ctx.atomic_store(link(off), split);
-            }
-            return pool_ + std::size_t{off} * kUnit + kUnit;
-          }
-        }
+        ctx.atomic_add(&holds_.begun, std::uint64_t{1});
+        void* block = claim_and_split(ctx, off, need);
+        ctx.atomic_add(&holds_.finished, std::uint64_t{1});
+        if (block != nullptr) return block;
       }
       off = next;
     }
@@ -133,13 +132,16 @@ class ListHeap {
     const auto unit = static_cast<std::uint32_t>(byte_off / kUnit) - 1;
     assert(is_start(ctx, unit));
     const std::uint32_t next = ctx.atomic_load(link(unit));
-    if (next < units_ && is_start(ctx, next) && !is_allocated(ctx, next) &&
-        try_claim(ctx, next)) {
+    const bool merging =
+        next < units_ && is_start(ctx, next) && !is_allocated(ctx, next);
+    if (merging) ctx.atomic_add(&holds_.begun, std::uint64_t{1});
+    if (merging && try_claim(ctx, next)) {
       // Merge with the (free) successor we just locked.
       ctx.atomic_store(link(unit), ctx.atomic_load(link(next)));
       ctx.atomic_and(&flags_[next / 32], ~(start_bit(next) | alloc_bit(next)));
     }
     release(ctx, unit);
+    if (merging) ctx.atomic_add(&holds_.finished, std::uint64_t{1});
   }
 
   [[nodiscard]] bool contains(const void* p) const {
@@ -237,11 +239,38 @@ class ListHeap {
   void release(gpu::ThreadCtx& ctx, std::uint32_t unit) {
     ctx.atomic_and(&flags_[unit / 32], ~alloc_bit(unit));
   }
+  /// Claims the block at `off` and splits off a usable remainder; nullptr
+  /// when the claim loses a race or the block shrank below `need`.
+  void* claim_and_split(gpu::ThreadCtx& ctx, std::uint32_t off,
+                        std::uint32_t need) {
+    if (!try_claim(ctx, off)) return nullptr;
+    const std::uint32_t owned_next = ctx.atomic_load(link(off));
+    const std::uint32_t avail = owned_next - off - 1;
+    if (avail < need) {
+      release(ctx, off);
+      return nullptr;
+    }
+    if (avail - need >= min_split_units_) {  // split usable remainder
+      const std::uint32_t split = off + need + 1;
+      ctx.atomic_store(link(split), owned_next);
+      ctx.atomic_or(&flags_[split / 32], start_bit(split));
+      ctx.atomic_store(link(off), split);
+    }
+    return pool_ + std::size_t{off} * kUnit + kUnit;
+  }
+
+  /// Transient-hold counters (class comment), on their own cache line so
+  /// their RMWs do not evict the read-mostly fields walkers load.
+  struct alignas(gpu::kDestructiveInterferenceSize) HoldCounters {
+    std::uint64_t begun = 0;
+    std::uint64_t finished = 0;
+  };
 
   std::byte* pool_ = nullptr;
   std::uint32_t units_ = 0;
   std::uint64_t* flags_ = nullptr;
   std::uint32_t min_split_units_ = 4;
+  HoldCounters holds_;
 };
 
 }  // namespace gms::alloc

@@ -106,9 +106,19 @@ ScatterAlloc::ScatterAlloc(gpu::Device& dev, std::size_t heap_bytes,
                                           "active-sb");
   std::size_t rest = 0;
   pages_ = carver.take_rest(rest, cfg_.page_size, "pages");
+  // Trim super blocks the metadata left no room for: the chunk region first,
+  // down to its last super block (malloc_chunk takes it as a modulus), then
+  // the multi-page region, whose requests then get nullptr.
   while (num_pages_ * cfg_.page_size > rest) {
+    if (num_superblocks_ == 1) {
+      throw core::ConfigError(
+          core::ConfigError::Kind::kOutOfRange, "pages_per_superblock",
+          "ScatterAlloc: a " + std::to_string(heap_bytes) +
+              " B heap cannot hold one super block of " +
+              std::to_string(sb_bytes) + " B plus its metadata");
+    }
     --num_superblocks_;
-    --chunk_superblocks_;
+    if (chunk_superblocks_ > 1) --chunk_superblocks_;
     num_pages_ -= cfg_.pages_per_superblock;
   }
   init_ms_ = timer.elapsed_ms();

@@ -184,15 +184,18 @@ void register_stub_allocators() {
     reg.add({kCrashTraits, '?',
              [](gpu::Device&, std::size_t heap_bytes) {
                return std::make_unique<CrashStub>(heap_bytes);
-             }});
+             },
+             nullptr});
     reg.add({kHangTraits, '?',
              [](gpu::Device&, std::size_t heap_bytes) {
                return std::make_unique<HangStub>(heap_bytes);
-             }});
+             },
+             nullptr});
     reg.add({kCorruptTraits, '?',
              [](gpu::Device&, std::size_t heap_bytes) {
                return std::make_unique<CorruptStub>(heap_bytes);
-             }});
+             },
+             nullptr});
     return true;
   }();
   (void)once;

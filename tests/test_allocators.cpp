@@ -189,6 +189,27 @@ TEST(ScatterAlloc, MultiPagePathForLargeRequests) {
   });
 }
 
+TEST(ScatterAlloc, SmallHeapKeepsOneChunkSuperBlock) {
+  // After metadata, 8 MiB holds one of the two 4 MiB super blocks the
+  // geometry asks for. The chunk region keeps it (trimming it to zero made
+  // malloc_chunk divide by zero); the multi-page region is what goes.
+  Device small(16u << 20, GpuConfig{.num_sms = 1});
+  ScatterAlloc mgr(small, 8u << 20);
+  std::vector<void*> ptrs(256, nullptr);
+  small.launch_n(256, [&](ThreadCtx& t) {
+    ptrs[t.thread_rank()] = mgr.malloc(t, 16u << (t.thread_rank() % 8));
+  });
+  for (void* p : ptrs) EXPECT_NE(p, nullptr);
+  small.launch_n(256,
+                 [&](ThreadCtx& t) { mgr.free(t, ptrs[t.thread_rank()]); });
+  void* multi_page = &mgr;
+  small.launch(1, 1, [&](ThreadCtx& t) { multi_page = mgr.malloc(t, 8000); });
+  EXPECT_EQ(multi_page, nullptr);
+  EXPECT_TRUE(mgr.audit().ok);
+  // Below one super block the constructor refuses with a typed error.
+  EXPECT_THROW(ScatterAlloc(small, 4u << 20), core::ConfigError);
+}
+
 // ---- Reg-Eff -------------------------------------------------------------------
 
 class RegEffVariants : public ::testing::TestWithParam<RegEffAlloc::Config> {};
@@ -355,6 +376,49 @@ TEST(XMalloc, LargePathUsesMemoryblockList) {
   });
   EXPECT_NE(a, nullptr);
   EXPECT_NE(b, nullptr);
+}
+
+TEST(XMalloc, LargePathStormNeverReportsSpuriousOom) {
+  // Every lane claims the big tail block in turn and splits it, so a walker
+  // can find the tail held by a mid-split winner pass after pass. Those
+  // passes are contention, not exhaustion: the heap never holds more than
+  // the 4,096 live blocks (24 MiB of 64 MiB) and no malloc may fail.
+  for (const unsigned sms : {2u, 4u}) {
+    for (int heap = 0; heap < 6; ++heap) {
+      Device storm(72u << 20, GpuConfig{.num_sms = sms});
+      XMalloc mgr(storm, 64u << 20);
+      std::uint64_t failed = 0;
+      for (int launch = 0; launch < 3; ++launch) {
+        storm.launch_n(4096, [&](ThreadCtx& t) {
+          void* p = mgr.malloc(t, 6000);
+          if (p == nullptr) {
+            t.atomic_add(&failed, std::uint64_t{1});
+            return;
+          }
+          mgr.free(t, p);
+        });
+      }
+      EXPECT_EQ(failed, 0u) << sms << " SMs, heap " << heap;
+    }
+  }
+}
+
+TEST(XMalloc, ExhaustedLargePathGivesUpAfterFruitlessBudget) {
+  // At real exhaustion every fitting block is a finished allocation and no
+  // hold is in flight, so a failing malloc spends the fruitless-pass budget
+  // (one backoff per pass) instead of the contended one.
+  Device one(8u << 20, GpuConfig{.num_sms = 1});
+  XMalloc mgr(one, 4u << 20);
+  std::uint64_t filled = 0;
+  one.launch(1, 1, [&](ThreadCtx& t) {
+    while (mgr.malloc(t, 6000) != nullptr) ++filled;
+  });
+  EXPECT_EQ(filled, 562u) << "giving up early must not cost fill";
+  void* extra = &filled;
+  const auto stats =
+      one.launch(1, 1, [&](ThreadCtx& t) { extra = mgr.malloc(t, 6000); });
+  EXPECT_EQ(extra, nullptr);
+  EXPECT_LE(stats.counters.backoffs, ListHeap::kMaxFruitlessPasses);
 }
 
 // ---- FDGMalloc -----------------------------------------------------------------

@@ -101,7 +101,7 @@ TEST(ShardPolicyTest, DeterministicAndSaltSensitive) {
   EXPECT_TRUE(moved);
   const service::ShardPolicy rr(service::ShardPolicy::Kind::kRoundRobin, 0);
   EXPECT_EQ(rr.pick(5, healthy, 0), 1u);
-  EXPECT_THROW(hash.pick(0, {}, 0), std::logic_error);
+  EXPECT_THROW((void)hash.pick(0, {}, 0), std::logic_error);
 }
 
 // ---- verdict -> health mapping -------------------------------------------

@@ -27,8 +27,9 @@ using gpu::Device;
 using gpu::GpuConfig;
 using gpu::ThreadCtx;
 
-// ScatterAlloc's superblock carving divides by the page-per-region count,
-// which hits zero below ~16 MB — keep the test heap comfortably above that.
+// ScatterAlloc needs a 4 MiB chunk super block and a 4 MiB multi-page one
+// plus metadata (below that it serves no multi-page run) — keep the test
+// heap comfortably above that.
 constexpr std::size_t kHeapBytes = 64u << 20;
 
 struct RegisterAllocators {
