@@ -61,8 +61,7 @@ struct BenchArgs {
   /// ("retries=3,reserve=8,breaker=16,decay=256,backoff=4,seed=S").
   core::ResilienceSpec resilience;
   /// --warpagg=SPEC: policy knobs for any "warpagg" stage / "+W" twin
-  /// ("adaptive|always|never[,enter=N,exit=N,dwell=N,sample=N,probe=N,"
-  /// "slab=KB]").
+  /// ("adaptive|always[,enter=N,exit=N,dwell=N,sample=N,probe=N,slab=KB]").
   core::WarpAggSpec warpagg;
   /// --smoke: bench-specific quick mode (bench_warpagg: one rep, fewer
   /// rounds, implies the CI speedup gate).
@@ -81,10 +80,6 @@ struct BenchArgs {
   /// validated twin + watchdog and compare the measured outcome against the
   /// paper-reported `stable` trait.
   bool measure_stability = false;
-  /// --legacy-scheduler: run the SIMT engine with scheduler_fast_paths off
-  /// (the original status-scan scheduler + eager lane stacks) — the A/B
-  /// baseline bench_simt measures against.
-  bool legacy_scheduler = false;
   /// --json FILE: machine-readable output (bench_simt writes BENCH_simt.json
   /// here; bench_oom / bench_fragmentation / bench_survey reuse the same
   /// `{"bench": ..., "cases": [...]}` shape).
@@ -274,8 +269,6 @@ inline BenchArgs parse_args(int argc, char** argv,
       args.watchdog_ms = std::stod(need(i));
     } else if (flag == "--measure-stability") {
       args.measure_stability = true;
-    } else if (flag == "--legacy-scheduler") {
-      args.legacy_scheduler = true;
     } else if (flag == "--json") {
       args.json = need(i);
     } else if (flag == "--trace") {
@@ -323,13 +316,13 @@ inline BenchArgs parse_args(int argc, char** argv,
              "--range LO-HI  --timeout-s S  --phase init|update|all  "
              "--scale N  --max-exp N  --validate  --stack SPEC  "
              "--config \"{k=v,...}\"  --fault=SPEC  --resilience=SPEC  "
-             "--watchdog-ms N  --legacy-scheduler  --json FILE  "
+             "--watchdog-ms N  --json FILE  "
              "--trace FILE.gmtrace  --chrome FILE  --occupancy FILE\n"
              "fault SPECs: nth:N  prob:P[:SEED]  budget:BYTES  "
              "(optional suffix ,delay=K)\n"
              "resilience SPECs: retries=N,backoff=B,seed=S,reserve=PCT,"
              "breaker=N,decay=N (any subset)\n"
-             "warpagg SPECs: adaptive|always|never followed by any of "
+             "warpagg SPECs: adaptive|always followed by any of "
              "enter=N,exit=N,dwell=N,sample=N,probe=N,slab=KB\n"
              "bench_warpagg: --smoke (quick CI gate)  --min-speedup X  "
              "--reps N\n"
@@ -398,8 +391,7 @@ class ManagedDevice {
             gpu::GpuConfig{
                 .num_sms = args.num_sms,
                 .lane_stack_bytes = 32 * 1024,
-                .watchdog_ms = args.watchdog_ms,
-                .scheduler_fast_paths = !args.legacy_scheduler})) {
+                .watchdog_ms = args.watchdog_ms})) {
     // One wiring path for every decorator combination: fold the legacy
     // flags (--validate / --fault / --trace) into a stack spec unless
     // --stack supplied one explicitly, then hand it to the StackBuilder.
@@ -502,7 +494,6 @@ class ManagedDevice {
     header.arena_bytes = device_->arena().size();
     header.num_sms = device_->config().num_sms;
     header.warp_size = gpu::kWarpSize;
-    header.scheduler_fast_paths = device_->config().scheduler_fast_paths;
     header.kernel_launches =
         static_cast<std::uint32_t>(device_->session_launches());
     header.threads_launched = device_->session_threads_launched();

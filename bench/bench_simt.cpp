@@ -1,10 +1,7 @@
 // Simulator performance baseline: times the SIMT engine itself (not the
-// allocators) under both schedulers — the original per-lane status-scan
-// ("legacy", --legacy-scheduler / GpuConfig::scheduler_fast_paths = false)
-// and the bitmask fast paths added with it. Emits the human table plus
-// BENCH_simt.json, the repo's recorded perf trajectory: reruns after engine
-// changes should keep the fast column's speedups at or above the recorded
-// ones (DESIGN.md §7).
+// allocators). Emits the human table plus BENCH_simt.json, the repo's
+// recorded perf trajectory: reruns after engine changes compare each case's
+// `ms` and the sweep's speedup over the seed anchor (DESIGN.md §7).
 //
 // Cases:
 //   launch_floor          empty launches — fixed per-launch overhead
@@ -13,7 +10,8 @@
 //   collective_divergent  half-warp groups — divergent coalescing
 //   barrier               sync_block loops — block-wide release scans
 //   alloc_sweep_10k       the headline: bench_table1's stability sweep
-//                         (validated churn over every registry allocator)
+//                         (validated churn over the -t selection; pass
+//                         -t o+s+h+c+r+x+a+f+b to match the seed anchor)
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -41,16 +39,14 @@ double time_ms(const std::function<void()>& f) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-gpu::GpuConfig engine_cfg(const bench::BenchArgs& args, bool fast) {
-  return gpu::GpuConfig{.num_sms = args.num_sms,
-                        .lane_stack_bytes = 32 * 1024,
-                        .scheduler_fast_paths = fast};
+gpu::GpuConfig engine_cfg(const bench::BenchArgs& args) {
+  return gpu::GpuConfig{.num_sms = args.num_sms, .lane_stack_bytes = 32 * 1024};
 }
 
 // ---- engine microbenches (no allocator involved) ------------------------
 
-double bench_launch_floor(const bench::BenchArgs& args, bool fast) {
-  gpu::Device dev(1u << 20, engine_cfg(args, fast));
+double bench_launch_floor(const bench::BenchArgs& args) {
+  gpu::Device dev(1u << 20, engine_cfg(args));
   constexpr unsigned kLaunches = 256;
   return time_ms([&] {
     for (unsigned i = 0; i < kLaunches; ++i) {
@@ -59,8 +55,8 @@ double bench_launch_floor(const bench::BenchArgs& args, bool fast) {
   });
 }
 
-double bench_lane_switch(const bench::BenchArgs& args, bool fast) {
-  gpu::Device dev(1u << 20, engine_cfg(args, fast));
+double bench_lane_switch(const bench::BenchArgs& args) {
+  gpu::Device dev(1u << 20, engine_cfg(args));
   return time_ms([&] {
     auto stats = dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx& ctx) {
       for (unsigned i = 0; i < 32; ++i) ctx.backoff();
@@ -69,8 +65,8 @@ double bench_lane_switch(const bench::BenchArgs& args, bool fast) {
   });
 }
 
-double bench_collective_convergent(const bench::BenchArgs& args, bool fast) {
-  gpu::Device dev(1u << 20, engine_cfg(args, fast));
+double bench_collective_convergent(const bench::BenchArgs& args) {
+  gpu::Device dev(1u << 20, engine_cfg(args));
   return time_ms([&] {
     dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx& ctx) {
       std::uint64_t acc = 0;
@@ -82,8 +78,8 @@ double bench_collective_convergent(const bench::BenchArgs& args, bool fast) {
   });
 }
 
-double bench_collective_divergent(const bench::BenchArgs& args, bool fast) {
-  gpu::Device dev(1u << 20, engine_cfg(args, fast));
+double bench_collective_divergent(const bench::BenchArgs& args) {
+  gpu::Device dev(1u << 20, engine_cfg(args));
   return time_ms([&] {
     dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx& ctx) {
       std::uint64_t acc = 0;
@@ -103,8 +99,8 @@ double bench_collective_divergent(const bench::BenchArgs& args, bool fast) {
   });
 }
 
-double bench_barrier(const bench::BenchArgs& args, bool fast) {
-  gpu::Device dev(1u << 20, engine_cfg(args, fast));
+double bench_barrier(const bench::BenchArgs& args) {
+  gpu::Device dev(1u << 20, engine_cfg(args));
   return time_ms([&] {
     dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx& ctx) {
       for (unsigned i = 0; i < 64; ++i) ctx.sync_block();
@@ -114,11 +110,10 @@ double bench_barrier(const bench::BenchArgs& args, bool fast) {
 
 // ---- the headline: bench_table1's validated 10k-alloc sweep -------------
 
-double bench_alloc_sweep(const bench::BenchArgs& args, bool fast) {
+double bench_alloc_sweep(const bench::BenchArgs& args) {
   return time_ms([&] {
     for (const auto& name : args.allocators) {
       bench::BenchArgs sub = args;
-      sub.legacy_scheduler = !fast;
       sub.validate = true;
       if (sub.watchdog_ms <= 0) sub.watchdog_ms = sub.timeout_s * 1000.0;
       try {
@@ -131,7 +126,7 @@ double bench_alloc_sweep(const bench::BenchArgs& args, bool fast) {
         (void)work::run_alloc_perf(md.dev(), md.mgr(), p);
         (void)md.validator()->drain_report(false);
       } catch (const std::exception&) {
-        // Timeouts/crashes count against the mode's wall clock like any
+        // Timeouts/crashes count against the sweep's wall clock like any
         // other outcome; the stability verdict itself is bench_table1's job.
       }
     }
@@ -140,19 +135,22 @@ double bench_alloc_sweep(const bench::BenchArgs& args, bool fast) {
 
 struct Case {
   std::string name;
-  double (*run)(const bench::BenchArgs&, bool fast);
+  double (*run)(const bench::BenchArgs&);
+  /// Run once untimed first. A process's first devices fault in fresh
+  /// lane-stack pages that later devices reuse, which can double a short
+  /// engine case; the seconds-long sweep is timed cold, like its anchor.
+  bool warm_up = true;
 };
 
 void write_json(const std::string& path, const bench::BenchArgs& args,
-                const std::vector<Case>& cases,
-                const std::vector<std::pair<double, double>>& ms) {
+                const std::vector<Case>& cases, const std::vector<double>& ms) {
   // Trajectory anchor: the same sweep (bench_table1 --measure-stability
-  // --threads 10000 --iters 4, all allocators, 8 SMs) measured at the seed
-  // commit, before the fast-path scheduler and the zero-fill-on-demand arena
-  // landed. The in-run "legacy" column isolates only the scheduler (the
-  // arena change helps both modes), so the full before/after lives here.
+  // --threads 10000 --iters 4, the 17 allocators of selector
+  // o+s+h+c+r+x+a+f+b, 8 SMs) measured at the seed commit, before the
+  // bitmask scheduler and the zero-fill-on-demand arena landed. Compare
+  // only runs over that same population.
   constexpr double kSeedSweepMs = 5075.0;
-  const double sweep_fast_ms = ms.back().second;
+  const double sweep_ms = ms.back();
   core::BenchJson json("simt");
   json.meta()
       .num("num_sms", args.num_sms)
@@ -161,17 +159,12 @@ void write_json(const std::string& path, const bench::BenchArgs& args,
       .raw("table1_sweep_trajectory",
            core::JsonFields{}
                .num("seed_ms", kSeedSweepMs)
-               .num("now_ms", sweep_fast_ms)
+               .num("now_ms", sweep_ms)
                .num("speedup_vs_seed",
-                    sweep_fast_ms > 0 ? kSeedSweepMs / sweep_fast_ms : 0)
+                    sweep_ms > 0 ? kSeedSweepMs / sweep_ms : 0)
                .render());
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto [legacy, fast] = ms[i];
-    json.add_case()
-        .str("name", cases[i].name)
-        .num("legacy_ms", legacy)
-        .num("fast_ms", fast)
-        .num("speedup", fast > 0 ? legacy / fast : 0);
+    json.add_case().str("name", cases[i].name).num("ms", ms[i]);
   }
   json.write(path);
 }
@@ -187,23 +180,18 @@ int main(int argc, char** argv) {
       {"collective_convergent", bench_collective_convergent},
       {"collective_divergent", bench_collective_divergent},
       {"barrier", bench_barrier},
-      {"alloc_sweep_10k", bench_alloc_sweep},
+      {"alloc_sweep_10k", bench_alloc_sweep, /*warm_up=*/false},
   };
 
-  core::ResultTable table({"case", "legacy (ms)", "fast (ms)", "speedup"});
-  std::vector<std::pair<double, double>> ms;
+  core::ResultTable table({"case", "ms"});
+  std::vector<double> ms;
   for (const auto& c : cases) {
-    // Legacy first, then fast, interleaved per case so a mid-run abort still
-    // leaves comparable pairs.
-    const double legacy = c.run(args, /*fast=*/false);
-    const double fast = c.run(args, /*fast=*/true);
-    ms.emplace_back(legacy, fast);
-    table.add_row({c.name, core::ResultTable::fmt_ms(legacy),
-                   core::ResultTable::fmt_ms(fast),
-                   core::ResultTable::fmt(fast > 0 ? legacy / fast : 0, 2)});
+    if (c.warm_up) (void)c.run(args);
+    ms.push_back(c.run(args));
+    table.add_row({c.name, core::ResultTable::fmt_ms(ms.back())});
   }
 
-  bench::emit(table, args, "SIMT engine — legacy vs. fast-path scheduler");
+  bench::emit(table, args, "SIMT engine");
   write_json(args.json.empty() ? "BENCH_simt.json" : args.json, args, cases,
              ms);
   return 0;

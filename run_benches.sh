@@ -2,9 +2,12 @@
 # Regenerates every paper table/figure with laptop-scale defaults.
 # Results land in results/*.txt (+ .csv); see EXPERIMENTS.md.
 #
-# --smoke: fast subset for per-PR perf tracking — runs the bench_simt
-# engine A/B (refreshing BENCH_simt.json, the recorded perf trajectory)
+# --smoke: fast subset for per-change perf tracking — runs the bench_simt
+# engine timings (refreshing BENCH_simt.json, the recorded perf trajectory)
 # plus one allocator sweep as a sanity probe, and nothing else.
+#
+# bench_simt sweeps -t o+s+h+c+r+x+a+f+b: the 17 device managers its seed
+# anchor was measured over (the default selection adds the host family).
 #
 # --keep-going: record a failing bench and continue with the rest of the
 # sweep instead of aborting; prints a failure summary at the end and exits
@@ -82,7 +85,7 @@ finish() {
 }
 
 if [[ $SMOKE -eq 1 ]]; then
-  run "$R"/simt.txt            bench_simt       --json BENCH_simt.json
+  run "$R"/simt.txt            bench_simt       -t o+s+h+c+r+x+a+f+b --json BENCH_simt.json
   run "$R"/smoke_thread_10k.txt bench_alloc_size --threads 10000 --iters 2
   # Record→replay round trip: capture a small reference trace, then replay
   # it against the source allocator plus strangers — including a host-based
@@ -134,7 +137,7 @@ run "$R"/fig11d_workgen_large.txt bench_workgen --range 4-4096 --max-exp 13 --it
 run "$R"/fig11e_access.txt    bench_access --threads 16384
 run "$R"/fig11fg_graph.txt    bench_graph --scale 32 --threads 100000 --mem-mb 384
 run "$R"/ablation.txt         bench_ablation
-run "$R"/simt.txt             bench_simt --json BENCH_simt.json
+run "$R"/simt.txt             bench_simt -t o+s+h+c+r+x+a+f+b --json BENCH_simt.json
 # Reference allocation trace + deterministic replay (DESIGN.md §9): record a
 # mixed-size workgen run, replay it against four managers, and export the
 # Chrome-trace / occupancy views of the recording.

@@ -148,13 +148,8 @@ void WarpAggregator::update_ema(gpu::ThreadCtx& ctx, SmState& sm,
 }
 
 void* WarpAggregator::malloc(gpu::ThreadCtx& ctx, std::size_t size) {
-  switch (spec_.policy) {
-    case core::WarpAggSpec::Policy::kNever:
-      return inner_call(ctx, size);
-    case core::WarpAggSpec::Policy::kAlways:
-      return aggregated_malloc(ctx, size, nullptr);
-    case core::WarpAggSpec::Policy::kAdaptive:
-      break;
+  if (spec_.policy == core::WarpAggSpec::Policy::kAlways) {
+    return aggregated_malloc(ctx, size, nullptr);
   }
   SmState& sm = sm_[ctx.smid()];
   SiteState& st = sm.sites[site_index(size)];
@@ -171,9 +166,6 @@ void* WarpAggregator::malloc(gpu::ThreadCtx& ctx, std::size_t size) {
 }
 
 void* WarpAggregator::warp_malloc(gpu::ThreadCtx& ctx, std::size_t size) {
-  if (spec_.policy == core::WarpAggSpec::Policy::kNever) {
-    return inner_->warp_malloc(ctx, size);
-  }
   return aggregated_malloc(ctx, size, nullptr);
 }
 

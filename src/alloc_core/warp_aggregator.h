@@ -51,7 +51,7 @@ class WarpAggregator final : public core::MemoryManager {
   [[nodiscard]] void* malloc(gpu::ThreadCtx& ctx, std::size_t size) override;
   void free(gpu::ThreadCtx& ctx, void* ptr) override;
   /// Warp-cooperative entry point: an explicit warp request always takes the
-  /// aggregated path (policy kNever still passes through).
+  /// aggregated path.
   [[nodiscard]] void* warp_malloc(gpu::ThreadCtx& ctx,
                                   std::size_t size) override;
   void warp_free_all(gpu::ThreadCtx& ctx) override;

@@ -41,12 +41,10 @@ WarpAggSpec WarpAggSpec::parse(std::string_view spec) {
         out.policy = Policy::kAdaptive;
       } else if (tok == "always") {
         out.policy = Policy::kAlways;
-      } else if (tok == "never") {
-        out.policy = Policy::kNever;
       } else {
         throw std::invalid_argument{
             "unknown warpagg policy: \"" + std::string(tok) +
-            "\" (expected adaptive|always|never)"};
+            "\" (expected adaptive|always)"};
       }
     } else {
       if (eq == 0 || eq + 1 >= tok.size()) {
@@ -99,9 +97,7 @@ WarpAggSpec WarpAggSpec::parse(std::string_view spec) {
 }
 
 std::string WarpAggSpec::to_string() const {
-  const char* pol = policy == Policy::kAdaptive  ? "adaptive"
-                    : policy == Policy::kAlways ? "always"
-                                                : "never";
+  const char* pol = policy == Policy::kAdaptive ? "adaptive" : "always";
   return std::string(pol) + ",enter=" + std::to_string(enter_cost) +
          ",exit=" + std::to_string(exit_cost) +
          ",dwell=" + std::to_string(dwell) +

@@ -17,8 +17,8 @@ struct WarpAggSpec {
   /// kAdaptive: per-(SM, size-class) sites start on the per-lane passthrough
   /// path and switch to the aggregated path only when the sampled contention
   /// EMA crosses `enter_cost` (back below `exit_cost` switches out —
-  /// hysteresis, so decisions don't flap). kAlways / kNever pin the path.
-  enum class Policy : std::uint8_t { kAdaptive, kAlways, kNever };
+  /// hysteresis, so decisions don't flap). kAlways pins the aggregated path.
+  enum class Policy : std::uint8_t { kAdaptive, kAlways };
 
   Policy policy = Policy::kAdaptive;
   /// Cost of one sampled inner malloc: the per-SM delta of

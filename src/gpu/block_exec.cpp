@@ -23,7 +23,7 @@ BlockExec::BlockExec(const GpuConfig& cfg, unsigned smid, StatsCounters& stats,
                      const std::atomic<LaunchObserver*>* observer)
     : cfg_(cfg), smid_(smid), stats_(stats), cancel_(cancel),
       heartbeat_(heartbeat), observer_(observer),
-      fast_(cfg.scheduler_fast_paths), pool_(cfg.lane_stack_bytes) {}
+      pool_(cfg.lane_stack_bytes) {}
 
 BlockExec::~BlockExec() = default;
 
@@ -38,15 +38,6 @@ void BlockExec::prepare(unsigned grid_dim, unsigned block_dim,
   warps_ = (block_dim + kWarpSize - 1) / kWarpSize;
   if (lanes_.size() < block_dim) lanes_.resize(block_dim);
   if (warp_state_.size() < warps_) warp_state_.resize(warps_);
-  if (!fast_) {
-    // Legacy: every lane eagerly owns a full stack for the whole launch.
-    for (auto& lane : lanes_) {
-      if (!lane.fiber) {
-        lane.fiber = std::make_unique<Fiber>(cfg_.lane_stack_bytes);
-        ++stats_.fibers_created;
-      }
-    }
-  }
   // Keep the largest buffer ever requested; each block only re-zeroes the
   // bytes this launch actually asked for (shared_bytes_), not the capacity.
   shared_bytes_ = shared_bytes;
@@ -82,7 +73,7 @@ void BlockExec::retire_lane(Lane& lane) {
   ws.ready &= ~bit;
   ws.parked &= ~bit;
   ws.barrier &= ~bit;
-  if (fast_ && lane.fiber) pool_.release(std::move(lane.fiber));
+  if (lane.fiber) pool_.release(std::move(lane.fiber));
 }
 
 bool BlockExec::masks_consistent() const {
@@ -135,8 +126,6 @@ void BlockExec::run_block(unsigned block_idx) {
     ctx.smid_ = smid_;
     ctx.num_sms_ = cfg_.num_sms;
     ctx.held_locks_ = 0;
-    // Fast path: the stack arrives lazily from the pool on first resume.
-    if (!fast_) lane.fiber->reset(&lane_entry, &lane);
   }
   for (unsigned w = 0; w < warps_; ++w) {
     WarpState& ws = warp_state_[w];
@@ -154,11 +143,7 @@ void BlockExec::run_block(unsigned block_idx) {
         cancel_block(block_idx);
       }
       bool progress = false;
-      if (fast_) {
-        for (unsigned w = 0; w < warps_; ++w) progress |= run_warp_fast(w);
-      } else {
-        for (unsigned w = 0; w < warps_; ++w) progress |= run_warp(w);
-      }
+      for (unsigned w = 0; w < warps_; ++w) progress |= run_warp(w);
       progress |= try_release_barrier();
       if (progress) {
         stall_passes = 0;
@@ -185,43 +170,6 @@ void BlockExec::run_block(unsigned block_idx) {
 }
 
 bool BlockExec::run_warp(unsigned w) {
-  const unsigned base = w * kWarpSize;
-  const unsigned n = std::min(kWarpSize, block_dim_ - base);
-  bool progress = false;
-  for (unsigned i = 0; i < n; ++i) lanes_[base + i].spin_streak = 0;
-
-  for (;;) {
-    bool ran = false;
-    for (unsigned i = 0; i < n; ++i) {
-      Lane& lane = lanes_[base + i];
-      if (lane.status != LaneStatus::kReady ||
-          lane.spin_streak >= kSpinQuantum) {
-        continue;
-      }
-      ran = true;
-      ++stats_.lane_switches;
-      const bool finished = lane.fiber->resume();
-      if (finished) {
-        retire_lane(lane);
-        progress = true;
-      } else if (lane.status == LaneStatus::kParked) {
-        progress = true;
-      }
-      // else: the lane backed off and stays ready with a bumped streak.
-    }
-    if (ran) continue;
-    // Every remaining ready lane exhausted its spin quantum: whoever is
-    // parked at a collective now *is* the coalesced group (activemask
-    // semantics — persistent spinners do not count as converged).
-    if (resolve_collectives(w)) {
-      progress = true;
-      continue;
-    }
-    return progress;
-  }
-}
-
-bool BlockExec::run_warp_fast(unsigned w) {
   WarpState& ws = warp_state_[w];
   // Fully done, or everyone already waits at the block barrier: O(1) skip.
   if (!ws.runnable()) return false;
@@ -237,8 +185,8 @@ bool BlockExec::run_warp_fast(unsigned w) {
     if (pass == 0) {
       // Convergence shortcut: no lane can still join a group (spinners kept
       // their chance through the quantum above), so whoever is parked at a
-      // collective resolves right now — no extra full-warp rescans.
-      if (ws.collective() != 0 && resolve_collectives_fast(w)) {
+      // collective resolves right now.
+      if (ws.collective() != 0 && resolve_collectives(w)) {
         // Released lanes restart with spin_streak 0; lanes in `exhausted`
         // were never resumed since, so their bits remain valid.
         progress = true;
@@ -267,68 +215,13 @@ bool BlockExec::run_warp_fast(unsigned w) {
 }
 
 bool BlockExec::resolve_collectives(unsigned w) {
-  const unsigned base = w * kWarpSize;
-  const unsigned n = std::min(kWarpSize, block_dim_ - base);
-  bool any = false;
-
-  std::uint32_t handled = 0;
-  for (unsigned i = 0; i < n; ++i) {
-    Lane& lane = lanes_[base + i];
-    if ((handled >> i) & 1u) continue;
-    if (lane.status != LaneStatus::kParked ||
-        lane.park.kind != ParkSlot::Kind::kCollective) {
-      continue;
-    }
-    if (lane.park.mask != 0) {
-      // Explicit-mask op: releases only when every member has arrived at the
-      // same site with the same mask.
-      bool complete = true;
-      for (unsigned j = 0; j < n; ++j) {
-        if (!((lane.park.mask >> j) & 1u)) continue;
-        const Lane& member = lanes_[base + j];
-        if (member.status == LaneStatus::kDone) {
-          throw std::runtime_error{
-              "SIMT deadlock: masked collective waits on an exited lane"};
-        }
-        if (member.status != LaneStatus::kParked ||
-            member.park.kind != ParkSlot::Kind::kCollective ||
-            member.park.site != lane.park.site ||
-            member.park.mask != lane.park.mask) {
-          complete = false;
-          break;
-        }
-      }
-      if (!complete) continue;
-      resolve_group(w, lane.park.mask);
-      handled |= lane.park.mask;
-      any = true;
-    } else {
-      // Open group: every lane currently parked at the same call site.
-      std::uint32_t members = 0;
-      for (unsigned j = 0; j < n; ++j) {
-        const Lane& m = lanes_[base + j];
-        if (m.status == LaneStatus::kParked &&
-            m.park.kind == ParkSlot::Kind::kCollective && m.park.mask == 0 &&
-            m.park.site == lane.park.site && m.park.op == lane.park.op) {
-          members |= 1u << j;
-        }
-      }
-      resolve_group(w, members);
-      handled |= members;
-      any = true;
-    }
-  }
-  return any;
-}
-
-bool BlockExec::resolve_collectives_fast(unsigned w) {
   WarpState& ws = warp_state_[w];
   const unsigned base = w * kWarpSize;
   bool any = false;
 
   // Lanes still parked at a collective and not yet grouped this call. Every
-  // group is carved out of this mask by intersection — no per-lane rescans
-  // of the whole warp, no `handled` bookkeeping.
+  // group is carved out of this mask by intersection, so no lane is
+  // visited once it has been grouped.
   std::uint32_t pend = ws.collective();
   while (pend != 0) {
     const unsigned i = static_cast<unsigned>(std::countr_zero(pend));
@@ -336,8 +229,8 @@ bool BlockExec::resolve_collectives_fast(unsigned w) {
     if (lane.park.mask != 0) {
       // Explicit-mask op: complete only when every member sits parked at the
       // same site with the same mask. Membership is checked member-by-member
-      // in lane order so the done-lane deadlock diagnosis fires exactly as
-      // in the legacy scheduler.
+      // in lane order, which fixes the pass at which the done-lane deadlock
+      // diagnosis fires.
       bool complete = true;
       for (std::uint32_t m = lane.park.mask & ws.valid; m != 0; m &= m - 1) {
         const unsigned j = static_cast<unsigned>(std::countr_zero(m));
@@ -544,26 +437,13 @@ void BlockExec::resolve_agg_add_subgroup(unsigned w, std::uint32_t sub_mask,
 }
 
 bool BlockExec::try_release_barrier() {
+  // O(warps): a warp blocks the barrier iff it still has a ready lane or a
+  // lane parked at a collective.
   bool saw_barrier = false;
-  if (fast_) {
-    // O(warps): a warp blocks the barrier iff it still has a ready lane or a
-    // lane parked at a collective.
-    for (unsigned w = 0; w < warps_; ++w) {
-      const WarpState& ws = warp_state_[w];
-      if ((ws.ready | ws.collective()) != 0) return false;
-      saw_barrier |= ws.barrier != 0;
-    }
-  } else {
-    for (unsigned i = 0; i < block_dim_; ++i) {
-      const Lane& lane = lanes_[i];
-      if (lane.status == LaneStatus::kDone) continue;
-      if (lane.status == LaneStatus::kParked &&
-          lane.park.kind == ParkSlot::Kind::kBarrier) {
-        saw_barrier = true;
-        continue;
-      }
-      return false;  // somebody is still on the way to the barrier
-    }
+  for (unsigned w = 0; w < warps_; ++w) {
+    const WarpState& ws = warp_state_[w];
+    if ((ws.ready | ws.collective()) != 0) return false;
+    saw_barrier |= ws.barrier != 0;
   }
   if (!saw_barrier) return false;
   ++stats_.block_barriers;

@@ -22,18 +22,16 @@ struct KernelRef {
   void (*invoke)(const void*, ThreadCtx&) = nullptr;
 };
 
-/// Executes one thread block: owns a fiber per lane, schedules the block's
-/// warps round-robin (all warps co-resident so the block barrier works) and
-/// resolves warp collectives over coalesced lane groups.
+/// Executes one thread block: runs each lane on a fiber, schedules the
+/// block's warps round-robin (all warps co-resident so the block barrier
+/// works) and resolves warp collectives over coalesced lane groups.
 ///
-/// One BlockExec lives per SM worker and is reused across blocks. Two
-/// scheduler implementations coexist behind GpuConfig::scheduler_fast_paths:
-/// the fast one drives per-warp ready/parked/barrier bitmasks (iterate only
-/// set bits, skip idle warps in O(1), resolve collectives by mask
-/// intersection, draw lane stacks lazily from a per-SM pool); the legacy one
-/// scans per-lane status bytes and eagerly owns one stack per lane. Both are
-/// step-equivalent — same lanes resumed in the same order — so A/B runs must
-/// produce identical observable results (asserted by test_simt).
+/// One BlockExec lives per SM worker and is reused across blocks. Scheduling
+/// is driven by per-warp ready/parked/barrier bitmasks: a pass visits only
+/// set bits, skips idle warps in O(1) and resolves collectives by mask
+/// intersection, and lane stacks are drawn lazily from a per-SM pool. The
+/// resume order is part of the contract: test_simt pins the counters it
+/// yields (lane switches, collectives, barriers, stacks created) exactly.
 class BlockExec {
  public:
   /// `cancel` (optional) is the device-wide cancellation flag polled between
@@ -70,7 +68,7 @@ class BlockExec {
     unsigned spin_streak = 0;  ///< consecutive backoff yields this pass
   };
 
-  /// Bitmask mirror of one warp's lane states, the fast scheduler's index:
+  /// Bitmask mirror of one warp's lane states, the scheduler's index:
   /// invariant valid == ready | parked | done(), barrier ⊆ parked.
   struct WarpState {
     std::uint32_t valid = 0;    ///< lanes that exist (tail warps are partial)
@@ -97,13 +95,12 @@ class BlockExec {
   /// Gives every runnable lane of warp `w` time slices until only spinners or
   /// parked lanes remain; resolves warp collectives as groups assemble.
   /// @return true if any lane made scheduling progress.
-  bool run_warp(unsigned w);        ///< legacy per-lane status scans
-  bool run_warp_fast(unsigned w);   ///< bitmask iteration + O(1) idle skip
+  bool run_warp(unsigned w);
 
-  /// Groups lanes of warp `w` parked at collectives and resolves every group
-  /// whose membership is complete. @return true if any group was released.
-  bool resolve_collectives(unsigned w);       ///< legacy O(warp²) rescans
-  bool resolve_collectives_fast(unsigned w);  ///< mask-intersection grouping
+  /// Groups lanes of warp `w` parked at collectives (by mask intersection)
+  /// and resolves every group whose membership is complete.
+  /// @return true if any group was released.
+  bool resolve_collectives(unsigned w);
   void resolve_group(unsigned w, std::uint32_t member_mask);
   /// One address-homogeneous sub-group of a warp-aggregated atomic add
   /// (lanes targeting different words must issue separate RMWs).
@@ -131,11 +128,10 @@ class BlockExec {
   [[nodiscard]] WarpState& warp_of(const Lane& lane) {
     return warp_state_[lane.ctx.warp_in_block_];
   }
-  /// Arms a pooled fiber for a lane about to be resumed for the first time
-  /// (fast path only; the legacy path arms every lane eagerly in run_block).
+  /// Arms a pooled fiber for a lane about to be resumed for the first time.
   void ensure_fiber(Lane& lane);
-  /// Marks a lane done, updates the warp masks and (fast path) returns its
-  /// stack to the pool.
+  /// Marks a lane done, updates the warp masks and returns its stack to the
+  /// pool.
   void retire_lane(Lane& lane);
   /// Debug invariant: every warp's masks agree with its lanes' status bytes.
   [[nodiscard]] bool masks_consistent() const;
@@ -153,7 +149,6 @@ class BlockExec {
   const std::atomic<LaunchObserver*>* observer_ = nullptr;
   unsigned current_block_ = 0;  ///< block run_block is executing (markers)
   bool cancelling_ = false;
-  const bool fast_;  ///< cached cfg_.scheduler_fast_paths
 
   KernelRef kernel_{};
   unsigned grid_dim_ = 0;

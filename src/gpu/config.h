@@ -39,14 +39,6 @@ struct GpuConfig {
   double watchdog_ms = 0;
   /// How often the host polls the per-SM heartbeats while waiting.
   double watchdog_poll_ms = 20;
-  /// Enables the bitmask warp scheduler (per-warp ready/parked/done masks,
-  /// O(1) skip of idle warps, group-by-intersection collective resolution),
-  /// the convergence shortcut and lazily pooled lane stacks. Off restores the
-  /// original per-lane status-scan scheduler with eagerly allocated stacks —
-  /// kept as an A/B baseline for semantic-equivalence tests (test_simt) and
-  /// perf measurements (bench_simt). Both modes produce identical observable
-  /// results; only the bookkeeping differs.
-  bool scheduler_fast_paths = true;
 
   static unsigned default_num_sms() {
     unsigned hw = std::thread::hardware_concurrency();

@@ -26,7 +26,7 @@ struct TraceHeader {
   std::uint64_t arena_bytes = 0;  ///< full device arena
   std::uint32_t num_sms = 0;
   std::uint32_t warp_size = 0;
-  std::uint32_t scheduler_fast_paths = 1;
+  std::uint32_t reserved = 1;            ///< always 1; nothing reads it
   std::uint32_t kernel_launches = 0;     ///< Device::session_launches()
   std::uint64_t threads_launched = 0;    ///< Device::session_threads_launched()
   char allocator[64] = {};               ///< NUL-padded registry name

@@ -272,43 +272,20 @@ TEST(Simt, StatsCountAtomics) {
   EXPECT_EQ(stats.counters.atomic_store, 32u);
 }
 
-// ---- A/B determinism suite: fast-path vs. legacy scheduler ----------------
+// ---- the scheduler contract, pinned ---------------------------------------
 //
-// GpuConfig::scheduler_fast_paths must be invisible to kernels: both
-// schedulers resume the same lanes in the same order, so collective results,
-// counters on deterministic kernels, and deadlock/timeout diagnoses are all
-// identical. Each expectation runs under both modes, and the cross-mode
-// tests compare the two devices' observations directly.
+// Single-block kernels without contention schedule deterministically, so the
+// order in which the engine resumes lanes shows up as exact counters. The
+// constants below were cross-checked against the status-scan engine this
+// scheduler replaced; a change to any of them is a change to the scheduling
+// contract, not noise.
 
-GpuConfig ab_cfg(bool fast) {
-  GpuConfig cfg{.num_sms = 4};
-  cfg.scheduler_fast_paths = fast;
-  return cfg;
-}
-
-Device& ab_dev(bool fast) {
-  static Device fast_dev(96u << 20, ab_cfg(true));
-  static Device legacy_dev(96u << 20, ab_cfg(false));
-  return fast ? fast_dev : legacy_dev;
-}
-
-class SchedulerAB : public ::testing::TestWithParam<bool> {
- protected:
-  Device& dev() { return ab_dev(GetParam()); }
-};
-
-INSTANTIATE_TEST_SUITE_P(Modes, SchedulerAB, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("fast")
-                                             : std::string("legacy");
-                         });
-
-TEST_P(SchedulerAB, DivergentMaskedCollectives) {
+TEST(Simt, DivergentMaskedCollectives) {
   // Three-way divergence, then masked broadcast + group sync + ballot inside
-  // each branch: the group-formation paths the fast scheduler rewrote.
+  // each branch: the open and explicit-mask group paths of the resolver.
   std::vector<std::uint32_t> got(32, ~0u);
   std::uint32_t ballots[3] = {0, 0, 0};
-  dev().launch(1, 32, [&](ThreadCtx& t) {
+  const auto stats = dev().launch(1, 32, [&](ThreadCtx& t) {
     const unsigned which = t.lane_id() % 3;
     if (which == 0) {
       auto g = t.coalesce();
@@ -339,15 +316,19 @@ TEST_P(SchedulerAB, DivergentMaskedCollectives) {
     EXPECT_EQ(got[lane], (lane % 3) * 10u) << "lane " << lane;
   }
   for (unsigned b = 0; b < 3; ++b) EXPECT_EQ(ballots[b], expect_mask[b]);
+  // Four collectives per branch; each lane is resumed once to start and
+  // once per collective it parks at.
+  EXPECT_EQ(stats.counters.collectives, 12u);
+  EXPECT_EQ(stats.counters.lane_switches, 160u);
 }
 
-TEST_P(SchedulerAB, MixedBarrierCollectiveInterleaving) {
+TEST(Simt, MixedBarrierCollectiveInterleaving) {
   // Alternating block barriers and warp collectives over multiple phases —
-  // exercises barrier-release rescans racing collective parking.
+  // exercises barrier release racing collective parking.
   constexpr unsigned kDim = 128, kPhases = 8;
   std::vector<std::uint64_t> phase_sums(kPhases, 0);
   std::vector<std::uint32_t> prefix(kDim, 0);
-  dev().launch(1, kDim, [&](ThreadCtx& t) {
+  const auto stats = dev().launch(1, kDim, [&](ThreadCtx& t) {
     for (unsigned ph = 0; ph < kPhases; ++ph) {
       const auto s = t.reduce_add(std::uint64_t{t.lane_id() + ph});
       if (t.lane_id() == 0) {
@@ -364,19 +345,26 @@ TEST_P(SchedulerAB, MixedBarrierCollectiveInterleaving) {
     EXPECT_EQ(phase_sums[ph], 4u * (496u + 32u * ph));
   }
   for (unsigned r = 0; r < kDim; ++r) EXPECT_EQ(prefix[r], r % kWarpSize);
+  // 4 warps x (8 reduces + 1 scan); each lane is resumed once to start and
+  // once after each of its 17 parks.
+  EXPECT_EQ(stats.counters.collectives, 36u);
+  EXPECT_EQ(stats.counters.block_barriers, 8u);
+  EXPECT_EQ(stats.counters.lane_switches, 2304u);
 }
 
-TEST_P(SchedulerAB, ConformanceChurn) {
+TEST(Simt, ConformanceChurn) {
   // The allocator conformance churn (alloc / write / verify / free rounds)
-  // must hold regardless of scheduler mode.
+  // on the simulator's collectives and lane interleaving. Its managers take
+  // 64 MiB heaps, more than dev()'s 8 MiB arena holds.
   core::register_all_allocators();
+  Device local(96u << 20, GpuConfig{.num_sms = 4});
   for (const char* name : {"ScatterAlloc", "Halloc"}) {
-    auto mgr = core::Registry::instance().make(name, dev(), 64u << 20);
+    auto mgr = core::Registry::instance().make(name, local, 64u << 20);
     ASSERT_NE(mgr, nullptr) << name;
     constexpr std::size_t kN = 2048, kWords = 8;
     for (unsigned round = 0; round < 3; ++round) {
       std::uint32_t corrupt = 0;
-      dev().launch_n(kN, [&](ThreadCtx& t) {
+      local.launch_n(kN, [&](ThreadCtx& t) {
         auto* p =
             static_cast<std::uint32_t*>(mgr->malloc(t, kWords * 4));
         if (p == nullptr) {
@@ -399,126 +387,91 @@ TEST_P(SchedulerAB, ConformanceChurn) {
   }
 }
 
-TEST_P(SchedulerAB, MaskedCollectiveOnExitedLaneDiagnosed) {
+TEST(Simt, MaskedCollectiveOnExitedLaneDiagnosed) {
   // A lane that exits while still a member of an explicit group is a
-  // guaranteed deadlock; both schedulers must diagnose it (not hang) and
-  // leave the device usable.
-  auto deadlock = [&] {
+  // guaranteed deadlock: the scheduler must diagnose it (not hang), with
+  // exactly this message, and leave the device usable.
+  std::string what;
+  try {
     dev().launch(1, 32, [&](ThreadCtx& t) {
       if (t.lane_id() >= 16) return;
       auto g = t.coalesce();
       if (t.lane_id() == 3) return;  // exits while g still names it
       (void)t.broadcast(g, t.lane_id(), g.leader);
     });
-  };
-  EXPECT_THROW(deadlock(), std::runtime_error);
+    FAIL() << "expected deadlock diagnosis";
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "SIMT deadlock: masked collective waits on an exited lane");
   // The stuck lanes were unwound; the device takes fresh launches.
   std::uint32_t count = 0;
   dev().launch(1, 64, [&](ThreadCtx& t) { t.atomic_add(&count, 1u); });
   EXPECT_EQ(count, 64u);
 }
 
-TEST(SchedulerABCross, DeadlockMessageIdentical) {
-  std::string what[2];
-  for (bool fast : {false, true}) {
-    try {
-      ab_dev(fast).launch(1, 32, [&](ThreadCtx& t) {
-        if (t.lane_id() >= 16) return;
-        auto g = t.coalesce();
-        if (t.lane_id() == 3) return;
-        (void)t.broadcast(g, t.lane_id(), g.leader);
-      });
-      FAIL() << "expected deadlock diagnosis (fast=" << fast << ")";
-    } catch (const std::runtime_error& e) {
-      what[fast ? 1 : 0] = e.what();
+TEST(Simt, ReduceBarrierKernelCounters) {
+  // Single block, no contention, no backoff: every lane parks at each
+  // reduce and each barrier, so the counters fix the resume order.
+  Device local(8u << 20, GpuConfig{.num_sms = 4});
+  std::uint64_t sink = 0;
+  const auto stats = local.launch(1, 256, [&](ThreadCtx& t) {
+    std::uint64_t acc = t.lane_id();
+    for (unsigned i = 0; i < 4; ++i) {
+      acc += t.reduce_add(std::uint64_t{1});
+      t.sync_block();
     }
-  }
-  EXPECT_EQ(what[0], what[1]);
-  EXPECT_NE(what[0].find("deadlock"), std::string::npos);
+    t.aggregated_atomic_add(&sink, acc);
+  });
+  EXPECT_EQ(sink, 36736u);  // sum over lanes of lane_id + 4 * 32
+  // 8 warps x (4 reduces + 1 aggregated add) collectives, one RMW per warp;
+  // each lane is resumed once to start and once after each of its 9 parks.
+  EXPECT_EQ(stats.counters.collectives, 40u);
+  EXPECT_EQ(stats.counters.block_barriers, 4u);
+  EXPECT_EQ(stats.counters.atomic_rmw, 8u);
+  EXPECT_EQ(stats.counters.lane_switches, 2560u);
+  EXPECT_EQ(stats.counters.backoffs, 0u);
+  // Lane stacks come from the per-SM pool on first suspension: all 256
+  // lanes of the one block park at the barrier, so 256 stacks, no more.
+  EXPECT_EQ(stats.counters.fibers_created, 256u);
 }
 
-TEST(SchedulerABCross, DeterministicCountersIdentical) {
-  // Single block, no contention, no backoff: scheduling is fully
-  // deterministic, so both modes must resume the same lanes in the same
-  // order — observable as identical counters, including lane_switches.
-  StatsCounters counters[2];
-  for (bool fast : {false, true}) {
-    Device local(8u << 20, ab_cfg(fast));
-    std::uint64_t sink = 0;
-    const auto stats = local.launch(1, 256, [&](ThreadCtx& t) {
-      std::uint64_t acc = t.lane_id();
-      for (unsigned i = 0; i < 4; ++i) {
-        acc += t.reduce_add(std::uint64_t{1});
-        t.sync_block();
-      }
-      t.aggregated_atomic_add(&sink, acc);
-    });
-    counters[fast ? 1 : 0] = stats.counters;
-  }
-  EXPECT_EQ(counters[0].collectives, counters[1].collectives);
-  EXPECT_EQ(counters[0].block_barriers, counters[1].block_barriers);
-  EXPECT_EQ(counters[0].atomic_rmw, counters[1].atomic_rmw);
-  EXPECT_EQ(counters[0].lane_switches, counters[1].lane_switches);
-  EXPECT_EQ(counters[0].backoffs, counters[1].backoffs);
-  // fibers_created is the one counter that SHOULD differ. Legacy eagerly
-  // wires every lane on every SM worker (4 SMs x 256 lanes); the pool only
-  // pays for lanes actually suspended — here all 256 of the one real block,
-  // since every lane parks at the barrier.
-  EXPECT_EQ(counters[0].fibers_created, 4u * 256u);
-  EXPECT_EQ(counters[1].fibers_created, 256u);
-}
-
-TEST(SchedulerABCross, RunToCompletionPoolsStacks) {
+TEST(Simt, RunToCompletionPoolsStacks) {
   // A kernel with no suspension points runs each lane to completion on its
-  // first resume, so one pooled stack serves the whole block; legacy still
-  // pays for every lane on every SM.
-  for (bool fast : {false, true}) {
-    Device local(1u << 20, ab_cfg(fast));
-    const auto stats = local.launch(1, 256, [](ThreadCtx&) {});
-    if (fast) {
-      EXPECT_EQ(stats.counters.fibers_created, 1u);
-    } else {
-      EXPECT_EQ(stats.counters.fibers_created, 4u * 256u);
-    }
-  }
+  // first resume, so one pooled stack serves the whole block.
+  Device local(1u << 20, GpuConfig{.num_sms = 4});
+  const auto stats = local.launch(1, 256, [](ThreadCtx&) {});
+  EXPECT_EQ(stats.counters.fibers_created, 1u);
 }
 
-TEST(SchedulerABCross, WatchdogDiagnosisIdentical) {
-  // thread 0 spins forever, the rest park at the block barrier: cancellation
-  // must produce the same TimeoutDiagnosis under both schedulers, and both
-  // devices must stay usable afterwards.
-  TimeoutDiagnosis diag[2];
-  for (bool fast : {false, true}) {
-    GpuConfig cfg = ab_cfg(fast);
-    cfg.num_sms = 1;
-    cfg.watchdog_ms = 100;
-    cfg.watchdog_poll_ms = 5;
-    Device local(1u << 20, cfg);
-    try {
-      local.launch(1, 64, [](ThreadCtx& t) {
-        if (t.thread_rank() == 0) {
-          for (;;) t.backoff();
-        }
-        t.sync_block();
-      });
-      FAIL() << "expected LaunchTimeout (fast=" << fast << ")";
-    } catch (const LaunchTimeout& e) {
-      diag[fast ? 1 : 0] = e.diagnosis();
-    }
-    std::uint32_t count = 0;
-    local.launch(1, 32, [&](ThreadCtx& t) { t.atomic_add(&count, 1u); });
-    EXPECT_EQ(count, 32u);
+TEST(Simt, WatchdogDiagnosis) {
+  // Thread 0 spins forever, the rest park at the block barrier: the
+  // cancellation pins this TimeoutDiagnosis, and the device stays usable.
+  GpuConfig cfg{.num_sms = 1};
+  cfg.watchdog_ms = 100;
+  cfg.watchdog_poll_ms = 5;
+  Device local(1u << 20, cfg);
+  TimeoutDiagnosis diag;
+  try {
+    local.launch(1, 64, [](ThreadCtx& t) {
+      if (t.thread_rank() == 0) {
+        for (;;) t.backoff();
+      }
+      t.sync_block();
+    });
+    FAIL() << "expected LaunchTimeout";
+  } catch (const LaunchTimeout& e) {
+    diag = e.diagnosis();
   }
-  EXPECT_EQ(diag[0].block_idx, diag[1].block_idx);
-  EXPECT_EQ(diag[0].lanes_done, diag[1].lanes_done);
-  EXPECT_EQ(diag[0].lanes_spinning, diag[1].lanes_spinning);
-  EXPECT_EQ(diag[0].lanes_parked, diag[1].lanes_parked);
-  EXPECT_EQ(diag[0].lanes_ready, diag[1].lanes_ready);
-  EXPECT_EQ(diag[0].first_stuck_rank, diag[1].first_stuck_rank);
-  EXPECT_EQ(diag[0].lanes_done, 0u);
-  EXPECT_EQ(diag[0].lanes_spinning, 1u);
-  EXPECT_EQ(diag[0].lanes_parked, 63u);
-  EXPECT_EQ(diag[0].first_stuck_rank, 0u);
+  EXPECT_EQ(diag.block_idx, 0u);
+  EXPECT_EQ(diag.lanes_done, 0u);
+  EXPECT_EQ(diag.lanes_spinning, 1u);
+  EXPECT_EQ(diag.lanes_parked, 63u);
+  EXPECT_EQ(diag.lanes_ready, 0u);
+  EXPECT_EQ(diag.first_stuck_rank, 0u);
+  std::uint32_t count = 0;
+  local.launch(1, 32, [&](ThreadCtx& t) { t.atomic_add(&count, 1u); });
+  EXPECT_EQ(count, 32u);
 }
 
 }  // namespace

@@ -194,6 +194,7 @@ void churn(Device& dev, core::MemoryManager& mgr, unsigned rounds,
 
 TEST(WarpAggSpecTest, ParseRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW((void)WarpAggSpec::parse("bogus"), std::invalid_argument);
+  EXPECT_THROW((void)WarpAggSpec::parse("never"), std::invalid_argument);
   EXPECT_THROW((void)WarpAggSpec::parse("adaptive,vibes=9"),
                std::invalid_argument);
   // Hysteresis requires exit < enter for the adaptive policy.
