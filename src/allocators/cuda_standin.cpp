@@ -1,5 +1,7 @@
 #include "allocators/cuda_standin.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "alloc_core/sub_arena.h"
@@ -78,28 +80,43 @@ std::size_t CudaStandin::Region::claim(gpu::ThreadCtx& ctx, std::size_t k) {
   DeviceLockGuard guard(DeviceSpinLock{lock}, ctx);
   const std::size_t start =
       static_cast<std::size_t>(ctx.atomic_load(hint)) % num_units;
-  std::size_t run = 0;
-  std::size_t run_start = 0;
-  std::uint64_t word = 0;
+  // First-fit from the rotating hint over num_units + k units, wrapping at
+  // the region end; the extra k finds a run that straddles the hint. A run
+  // restarts at the hint and at unit 0 (runs must not wrap the region end).
+  // One device load per bitmap word probed: the scan length IS this
+  // manager's fill-dependent cost, and routing it through the instrumented
+  // accessors (like every other manager's search loop) makes it visible to
+  // counters. The host examines each loaded word with bit scans.
+  std::size_t left = num_units + k;
   std::size_t word_idx = ~std::size_t{0};
-  // First-fit from the rotating hint, wrapping once over the region. One
-  // device load per bitmap word probed: the scan length IS this manager's
-  // fill-dependent cost, and routing it through the instrumented accessors
-  // (like every other manager's search loop) makes it visible to counters.
-  for (std::size_t step = 0; step < num_units + k; ++step) {
-    const std::size_t i = (start + step) % num_units;
-    if (i == 0 || step == 0) run = 0;  // runs must not wrap the region end
-    if (run == 0) run_start = i;
-    if (i / 64 != word_idx) {
-      word_idx = i / 64;
-      word = ctx.atomic_load(&bitmap[word_idx]);
-    }
-    const bool used = (word >> (i % 64)) & 1ull;
-    run = used ? 0 : run + 1;
-    if (run == k) {
-      flip(ctx, run_start, k, /*set=*/true);
-      ctx.atomic_store(hint, static_cast<std::uint64_t>(run_start + k));
-      return run_start;
+  std::uint64_t word = 0;
+  for (std::size_t lo = start; left > 0; lo = 0) {
+    const std::size_t hi = std::min(num_units, lo + left);
+    left -= hi - lo;
+    std::size_t run = 0;
+    std::size_t run_start = lo;
+    // Each step takes the free units from i on, then the used ones after
+    // them, both cut at the end of i's bitmap word (set bits are used).
+    for (std::size_t i = lo; i < hi;) {
+      if (i / 64 != word_idx) {
+        word_idx = i / 64;
+        word = ctx.atomic_load(&bitmap[word_idx]);
+      }
+      const std::size_t word_end = std::min(hi, (word_idx + 1) * 64);
+      const std::size_t free_units = std::min<std::size_t>(
+          std::countr_zero(word >> (i % 64)), word_end - i);
+      if (run + free_units >= k) {
+        flip(ctx, run_start, k, /*set=*/true);
+        ctx.atomic_store(hint, static_cast<std::uint64_t>(run_start + k));
+        return run_start;
+      }
+      run += free_units;
+      i += free_units;
+      if (i == word_end) continue;
+      i += std::min<std::size_t>(std::countr_one(word >> (i % 64)),
+                                 word_end - i);
+      run = 0;
+      run_start = i;
     }
   }
   return ~std::size_t{0};
@@ -107,12 +124,14 @@ std::size_t CudaStandin::Region::claim(gpu::ThreadCtx& ctx, std::size_t k) {
 
 void CudaStandin::Region::flip(gpu::ThreadCtx& ctx, std::size_t first_unit,
                                std::size_t k, bool set) {
-  for (std::size_t u = first_unit; u < first_unit + k;) {
+  const std::size_t end = first_unit + k;
+  for (std::size_t u = first_unit; u < end;) {
     const std::size_t w = u / 64;
-    std::uint64_t mask = 0;
-    for (; u < first_unit + k && u / 64 == w; ++u) mask |= 1ull << (u % 64);
+    const std::size_t n = std::min<std::size_t>(64 - u % 64, end - u);
+    const std::uint64_t mask = ~std::uint64_t{0} >> (64 - n) << (u % 64);
     // Under the region lock, so plain read + instrumented store suffices.
     ctx.atomic_store(&bitmap[w], set ? bitmap[w] | mask : bitmap[w] & ~mask);
+    u += n;
   }
 }
 

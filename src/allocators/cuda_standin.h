@@ -19,8 +19,9 @@ namespace gms::alloc {
 ///    global lock and uses first-fit bitmap search, so it works for any size
 ///    and never corrupts, but is consistently outperformed for small sizes;
 ///  * allocation cost grows with live-allocation count and heap size (the
-///    bitmap scan lengthens as the region fills) — the reason the paper's
-///    out-of-memory case had to be reined in by the one-hour timeout;
+///    bitmap scan lengthens as the region fills, one device load per bitmap
+///    word) — the reason the paper's out-of-memory case had to be reined in
+///    by the one-hour timeout;
 ///  * returned addresses spread over the whole region (rotating first-fit
 ///    hint), matching its worst-case Fig. 11a address range.
 class CudaStandin final : public core::MemoryManager {
@@ -51,10 +52,11 @@ class CudaStandin final : public core::MemoryManager {
 
     /// Finds and claims `k` contiguous units; returns unit index or ~0.
     /// The bitmap scan and bit flips go through the instrumented device
-    /// accessors — the walk is device-memory traffic, and its length is the
-    /// observable that makes this manager's fill-dependent slowdown visible
-    /// to counter-based samplers the same way the other managers' search
-    /// loops are.
+    /// accessors — the walk is device-memory traffic, and its length in
+    /// word loads is the observable that makes this manager's fill-dependent
+    /// slowdown visible to counter-based samplers the same way the other
+    /// managers' search loops are. The host examines each loaded word with
+    /// bit scans, so it pays per word, not per unit.
     std::size_t claim(gpu::ThreadCtx& ctx, std::size_t k);
     void release(gpu::ThreadCtx& ctx, std::size_t first_unit, std::size_t k);
     /// Flips `k` bits starting at `first_unit` (set or clear), one

@@ -1,6 +1,7 @@
 #include "workloads/workgen.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "core/utils.h"
@@ -84,12 +85,17 @@ WorkGenResult run_workgen_baseline(gpu::Device& dev,
   dev.launch_n(threads, [&](gpu::ThreadCtx& t) {
     const std::size_t bytes = sizes[t.thread_rank()];
     const std::size_t words = bytes / 4;
-    auto* p = reinterpret_cast<std::uint32_t*>(scratch.data() +
-                                               offsets[t.thread_rank()]);
+    // The scanned offsets are packed byte sums, so a word may be misaligned:
+    // store and read it bytewise.
+    std::byte* p = scratch.data() + offsets[t.thread_rank()];
     std::uint64_t local = 0;
     for (std::size_t w = 0; w < words; ++w) {
-      p[w] = t.thread_rank() + static_cast<std::uint32_t>(w);
-      local += p[w];
+      const std::uint32_t value =
+          t.thread_rank() + static_cast<std::uint32_t>(w);
+      std::memcpy(p + w * sizeof value, &value, sizeof value);
+      std::uint32_t stored = 0;
+      std::memcpy(&stored, p + w * sizeof stored, sizeof stored);
+      local += stored;
     }
     t.aggregated_atomic_add(&checksum, local);
   });

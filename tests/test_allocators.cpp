@@ -113,6 +113,129 @@ TEST(CudaStandin, FreeMakesUnitsReusable) {
   EXPECT_EQ(failures, 0u);
 }
 
+// The first-fit scan contract, pinned on a fresh 1-SM device: each probe is
+// one malloc in its own launch, and it checks the returned arena offset and
+// the launch's exact device loads and stores. A claim loads the lock word,
+// the hint and every bitmap word the scan probes (a word is reloaded only
+// when the scan moves to a different word), then stores one word per bitmap
+// word it flips, the hint and the unlock (plus the 4 KiB region's side
+// header). A failed claim stores only the unlock.
+struct ScanProbe {
+  std::int64_t offset = -1;  // arena offset of the result; -1 for nullptr
+  std::uint64_t loads = 0;
+  std::uint64_t stores = 0;
+  bool operator==(const ScanProbe&) const = default;
+};
+
+void PrintTo(const ScanProbe& p, std::ostream* os) {
+  *os << "{offset " << p.offset << ", loads " << p.loads << ", stores "
+      << p.stores << "}";
+}
+
+ScanProbe probe_malloc(Device& d, CudaStandin& mgr, std::size_t size) {
+  void* p = nullptr;
+  const gpu::LaunchStats s =
+      d.launch(1, 1, [&](ThreadCtx& t) { p = mgr.malloc(t, size); });
+  const std::int64_t offset =
+      p == nullptr ? -1 : static_cast<std::int64_t>(d.arena().offset_of(p));
+  return {offset, s.counters.atomic_load, s.counters.atomic_store};
+}
+
+std::vector<void*> malloc_n(Device& d, CudaStandin& mgr, std::size_t size,
+                            std::size_t n) {
+  std::vector<void*> ptrs(n, nullptr);
+  d.launch(1, 1, [&](ThreadCtx& t) {
+    for (void*& p : ptrs) p = mgr.malloc(t, size);
+  });
+  for (void* p : ptrs) EXPECT_NE(p, nullptr);
+  return ptrs;
+}
+
+void free_all(Device& d, CudaStandin& mgr, const std::vector<void*>& ptrs) {
+  d.launch(1, 1, [&](ThreadCtx& t) {
+    for (void* p : ptrs) mgr.free(t, p);
+  });
+}
+
+// The sub-range constructor on 400 KiB at the arena base: the 128 B region
+// has 960 units (15 bitmap words) with data at offset 256, and the 4 KiB
+// region has 54 units (one word) with data at offset 185'216.
+constexpr std::size_t kScanHeap = 400u << 10;
+constexpr std::int64_t kSmallData = 256;
+constexpr std::int64_t kLargeData = 185'216;
+constexpr std::size_t kOneSmallUnit = 64;     // + 32 B header = 1 unit
+constexpr std::size_t kFourSmallUnits = 480;  // + 32 B header = 4 units
+
+// Arena offset of the payload of a claim starting at 128 B unit `u`.
+std::int64_t small_unit(std::int64_t u) { return kSmallData + u * 128 + 32; }
+
+TEST(CudaStandin, ScanRunCrossesBitmapWord) {
+  Device d(1u << 20, GpuConfig{.num_sms = 1});
+  CudaStandin mgr(d.arena().data(), kScanHeap);
+  // Fill all 960 units, so the hint wraps to unit 0, then free units 5,
+  // 10-11 and 62-67: the first 4-unit run starts at 62 and ends in word 1.
+  const auto ptrs = malloc_n(d, mgr, kOneSmallUnit, 960);
+  free_all(d, mgr, {ptrs[5], ptrs[10], ptrs[11], ptrs[62], ptrs[63], ptrs[64],
+                    ptrs[65], ptrs[66], ptrs[67]});
+  EXPECT_EQ(probe_malloc(d, mgr, kFourSmallUnits),
+            (ScanProbe{small_unit(62), 4, 4}));
+  // From hint 66 only 2 units are free before the end; the wrap rescans
+  // words 0 and 1 up to unit 69 and finds no 4-unit run.
+  EXPECT_EQ(probe_malloc(d, mgr, kFourSmallUnits), (ScanProbe{-1, 18, 1}));
+}
+
+TEST(CudaStandin, ScanWrapResetsRunAtUnitZero) {
+  Device d(1u << 20, GpuConfig{.num_sms = 1});
+  CudaStandin mgr(d.arena().data(), kScanHeap);
+  // Hint 957 leaves units 957-959 free; units 0-1 and 3-9 are freed too.
+  // A run must not wrap the region end (957-959 + 0 would be 4 units), and
+  // 0-1 is too short, so the claim is units 3-6.
+  const auto ptrs = malloc_n(d, mgr, kOneSmallUnit, 957);
+  free_all(d, mgr, {ptrs[0], ptrs[1], ptrs[3], ptrs[4], ptrs[5], ptrs[6],
+                    ptrs[7], ptrs[8], ptrs[9]});
+  EXPECT_EQ(probe_malloc(d, mgr, kFourSmallUnits),
+            (ScanProbe{small_unit(3), 4, 3}));
+}
+
+TEST(CudaStandin, ScanOneWordRegionWrapDoesNotReload) {
+  Device d(1u << 20, GpuConfig{.num_sms = 1});
+  CudaStandin mgr(d.arena().data(), kScanHeap);
+  free_all(d, mgr, malloc_n(d, mgr, 50 * 4096, 1));  // hint 50
+  // Units 50-53 are too few; the wrap stays in word 0, so no reload.
+  EXPECT_EQ(probe_malloc(d, mgr, 5 * 4096), (ScanProbe{kLargeData, 3, 4}));
+  EXPECT_EQ(probe_malloc(d, mgr, 49 * 4096),
+            (ScanProbe{kLargeData + 5 * 4096, 3, 4}));
+  // Full: one load of word 0 covers the whole scan and the wrap.
+  EXPECT_EQ(probe_malloc(d, mgr, 4096), (ScanProbe{-1, 3, 1}));
+}
+
+TEST(CudaStandin, ScanFullRegionReturnsNull) {
+  Device d(1u << 20, GpuConfig{.num_sms = 1});
+  CudaStandin mgr(d.arena().data(), kScanHeap);
+  malloc_n(d, mgr, kOneSmallUnit, 960);
+  // Start at unit 0: all 15 words, then the wrap reloads word 0.
+  EXPECT_EQ(probe_malloc(d, mgr, kOneSmallUnit), (ScanProbe{-1, 18, 1}));
+}
+
+TEST(CudaStandin, ScanRunLongerThanAWordIn4KiBRegion) {
+  // A 4 MiB device heap: the 4 KiB region has 561 units (9 words).
+  Device d(8u << 20, GpuConfig{.num_sms = 1});
+  CudaStandin mgr(d, 4u << 20);
+  const auto a = malloc_n(d, mgr, 30 * 4096, 1);  // units 0-29
+  malloc_n(d, mgr, 10 * 4096, 1);                 // units 30-39
+  const auto c = malloc_n(d, mgr, 20 * 4096, 1);  // units 40-59
+  free_all(d, mgr, {a[0], c[0]});
+  const std::int64_t large_data =
+      static_cast<std::int64_t>(d.arena().offset_of(a[0]));
+  // From hint 60: units 60-159 span words 0-2, one flip store per word.
+  EXPECT_EQ(probe_malloc(d, mgr, 100 * 4096),
+            (ScanProbe{large_data + 60 * 4096, 5, 6}));
+  malloc_n(d, mgr, 400 * 4096, 1);  // units 160-559, hint 560
+  // 70 units from hint 560: one free unit, then a full pass over words 0-8,
+  // and the scan's last 69 steps wrap again over words 0-1.
+  EXPECT_EQ(probe_malloc(d, mgr, 70 * 4096), (ScanProbe{-1, 14, 1}));
+}
+
 // ---- ScatterAlloc --------------------------------------------------------------
 
 TEST(ScatterAlloc, PageChunkSizeSetAtFirstAllocation) {
@@ -460,20 +583,32 @@ TEST(Ouroboros, PageChunksNeverReturnToPool) {
   Ouroboros mgr(dev(), 16u << 20,
                 Ouroboros::Config{.queue = Ouroboros::QueueKind::kStandard,
                                   .chunk_based = false});
+  const std::size_t chunk_bytes = mgr.config().chunk_bytes;
   std::vector<void*> ptrs(512, nullptr);
   dev().launch_n(512, [&](ThreadCtx& t) {
     ptrs[t.thread_rank()] = mgr.malloc(t, 16);
   });
   dev().launch_n(512, [&](ThreadCtx& t) { mgr.free(t, ptrs[t.thread_rank()]); });
-  // Re-allocating the same size reuses the same pages (addresses repeat).
-  std::set<void*> first(ptrs.begin(), ptrs.end());
+  // Re-allocating the same size reuses the freed pages, so every page lies
+  // in a chunk the first round split. (Addresses need not repeat: when
+  // several SMs miss the empty page queue at kernel start, several chunks
+  // are split, and the FIFO queue hands out their untouched pages first.)
+  std::set<std::size_t> split_chunks;
+  for (void* p : ptrs) {
+    ASSERT_NE(p, nullptr);
+    split_chunks.insert(dev().arena().offset_of(p) / chunk_bytes);
+  }
   std::vector<void*> again(512, nullptr);
   dev().launch_n(512, [&](ThreadCtx& t) {
     again[t.thread_rank()] = mgr.malloc(t, 16);
   });
-  std::size_t reused = 0;
-  for (void* p : again) reused += first.count(p);
-  EXPECT_GT(reused, 400u);
+  std::size_t in_split_chunks = 0;
+  for (void* p : again) {
+    ASSERT_NE(p, nullptr);
+    in_split_chunks +=
+        split_chunks.count(dev().arena().offset_of(p) / chunk_bytes);
+  }
+  EXPECT_EQ(in_split_chunks, again.size());
 }
 
 TEST(Ouroboros, ChunkVariantRecyclesAcrossSizes) {

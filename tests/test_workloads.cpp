@@ -63,19 +63,21 @@ TEST(AllocPerf, MixedSizesDeterministicAcrossManagers) {
 
 TEST(AllocPerf, ReuseRoundsFasterOrEqualOnAverageForQueues) {
   // Ouroboros: re-use is "drastically faster than allocating from an empty
-  // queue initially" (§5) — iteration 0 pays the chunk splits.
+  // queue initially" (§5) — iteration 0 pays the chunk splits, and the
+  // re-use rounds serve every page from the queues. Wall time on a shared
+  // host swings more than that difference; the splits' atomic RMWs do not.
   auto mgr = make("Ouro-P-S");
   AllocPerfParams params;
   params.num_allocs = 8'192;
   params.size = 32;
-  params.iterations = 5;
-  const auto series = run_alloc_perf(dev(), *mgr, params);
-  const double first = series.alloc_ms.front();
-  const double later =
-      core::TimingSummary::of({series.alloc_ms.begin() + 1,
-                               series.alloc_ms.end()})
-          .median_ms;
-  EXPECT_LT(later, first * 1.5) << "re-use rounds should not regress wildly";
+  params.iterations = 1;
+  const auto first = run_alloc_perf(dev(), *mgr, params);
+  params.iterations = 4;
+  const auto reuse = run_alloc_perf(dev(), *mgr, params);
+  EXPECT_EQ(first.failed_allocs + reuse.failed_allocs, 0u);
+  EXPECT_GT(first.alloc_counters.atomic_rmw, 0u) << "round 0 splits chunks";
+  EXPECT_EQ(reuse.alloc_counters.atomic_rmw, 0u)
+      << "a re-use round split a chunk";
 }
 
 TEST(Fragmentation, AtomicBaselineIsDense) {
