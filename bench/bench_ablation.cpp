@@ -1,17 +1,14 @@
 // Ablation bench for the design choices DESIGN.md calls out. Each section
-// toggles exactly one mechanism and reruns an identical workload, so the
-// contribution of that mechanism is visible in isolation:
+// moves exactly one knob of one manager's runtime Config (a "Name{k=v}"
+// cell, validated against the manager's schema) and reruns an identical
+// workload, so the contribution of that mechanism is visible in isolation:
 //   A1 ScatterAlloc probe budget       (linear-probe cut-off per super block)
-//   A2 ScatterAlloc warp scattering    (hash entropy vs pure size/SM hash)
-//   A3 Halloc early head replacement   (83.5 % threshold vs none)
-//   A4 Ouroboros chunk size            (4 / 8 / 16 KiB chunks)
-//   A5 Reg-Eff pre-split ladder        (binary-heap pre-split vs one chunk)
+//   A2 ScatterAlloc region size        (pages per hashed region)
+//   A3 Halloc early head replacement   (fill threshold across its range)
+//   A4 Ouroboros chunk size            (8 / 16 / 32 KiB chunks)
+//   A5 Reg-Eff pre-split ladder        (smallest chunk split off)
 #include "bench_common.h"
 
-#include "allocators/halloc.h"
-#include "allocators/ouroboros.h"
-#include "allocators/reg_eff.h"
-#include "allocators/scatter_alloc.h"
 #include "workloads/alloc_perf.h"
 
 namespace {
@@ -24,32 +21,25 @@ struct Workload {
   unsigned iters;
 };
 
-template <typename Manager, typename Config>
 void run_case(core::ResultTable& table, const bench::BenchArgs& args,
-              const std::string& label, Config cfg, const Workload& wl) {
-  gpu::Device device(args.heap_bytes() + (8u << 20),
-                     gpu::GpuConfig{.num_sms = args.num_sms,
-                                    .lane_stack_bytes = 32 * 1024});
-  Manager mgr(device, args.heap_bytes(), cfg);
-  device.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx&) {});  // warm-up
+              const std::string& cell, const Workload& wl) {
+  bench::ManagedDevice md(args, cell);
   work::AllocPerfParams params;
   params.num_allocs = wl.threads;
   params.size = wl.size;
   params.iterations = wl.iters;
-  const auto series = work::run_alloc_perf(device, mgr, params);
+  const auto series = work::run_alloc_perf(md.dev(), md.mgr(), params);
+  const double calls = static_cast<double>(wl.threads) * wl.iters;
   table.add_row(
-      {label, std::to_string(wl.size),
+      {cell, std::to_string(wl.size),
        series.failed_allocs == 0
            ? core::ResultTable::fmt_ms(series.alloc_summary().mean_ms)
            : "oom",
        core::ResultTable::fmt(
-           static_cast<double>(series.alloc_counters.atomic_total()) /
-               (static_cast<double>(wl.threads) * wl.iters),
+           static_cast<double>(series.alloc_counters.atomic_total()) / calls,
            2),
        core::ResultTable::fmt(
-           static_cast<double>(series.alloc_counters.backoffs) /
-               (static_cast<double>(wl.threads) * wl.iters),
-           2)});
+           static_cast<double>(series.alloc_counters.backoffs) / calls, 2)});
 }
 
 }  // namespace
@@ -62,46 +52,22 @@ int main(int argc, char** argv) {
 
   core::ResultTable table(
       {"Configuration", "Bytes", "alloc ms", "atomics/alloc", "backoffs/alloc"});
-
-  // A1: probe budget.
-  for (std::size_t probe : {32u, 256u, 1024u}) {
-    run_case<alloc::ScatterAlloc>(
-        table, args, "Scatter probe_limit=" + std::to_string(probe),
-        alloc::ScatterAlloc::Config{.probe_limit = probe}, wl);
-  }
-  // A2: with the default config the hash scatters per warp; emulate the
-  // entropy-free hash by forcing one page-sized probe list via probe_limit
-  // high and a single super block worth of pages per start (documented in
-  // scatter_alloc.cpp — the factor is compile-time, so this ablates the
-  // probe path that dominates when scattering is weak).
-  run_case<alloc::ScatterAlloc>(
-      table, args, "Scatter tiny regions (pages_per_region=16)",
-      alloc::ScatterAlloc::Config{.pages_per_region = 16}, wl);
-
-  // A3: Halloc head replacement threshold.
-  for (double fill : {0.5, 0.835, 1.0}) {
-    run_case<alloc::Halloc>(
-        table, args,
-        "Halloc head_replace_fill=" + core::ResultTable::fmt(fill, 3),
-        alloc::Halloc::Config{.head_replace_fill = fill}, wl);
-  }
-
-  // A4: Ouroboros chunk size (page-based, standard queues).
-  for (std::size_t chunk : {4096u, 8192u, 16384u}) {
-    run_case<alloc::Ouroboros>(
-        table, args, "Ouro-P-S chunk_bytes=" + std::to_string(chunk),
-        alloc::Ouroboros::Config{.queue = alloc::Ouroboros::QueueKind::kStandard,
-                                 .chunk_based = false,
-                                 .chunk_bytes = chunk},
-        wl);
-  }
-
-  // A5: Reg-Eff pre-split ladder vs a single huge chunk. min_split_units
-  // also moves the fragmentation/speed trade-off the paper describes.
-  for (std::size_t min_split : {3u, 64u, 1024u}) {
-    run_case<alloc::RegEffAlloc>(
-        table, args, "RegEff-C min_split_units=" + std::to_string(min_split),
-        alloc::RegEffAlloc::Config{.min_split_units = min_split}, wl);
+  for (const char* cell : {
+           "ScatterAlloc{probe_limit=32}",      // A1
+           "ScatterAlloc{probe_limit=256}",
+           "ScatterAlloc{probe_limit=1024}",
+           "ScatterAlloc{pages_per_region=16}",  // A2
+           "Halloc{head_replace_fill=0.5}",      // A3
+           "Halloc{head_replace_fill=0.835}",
+           "Halloc{head_replace_fill=0.99}",
+           "Ouro-P-S{chunk_bytes=8192}",  // A4
+           "Ouro-P-S{chunk_bytes=16384}",
+           "Ouro-P-S{chunk_bytes=32768}",
+           "RegEff-C{min_split_units=3}",  // A5
+           "RegEff-C{min_split_units=16}",
+           "RegEff-C{min_split_units=64}",
+       }) {
+    run_case(table, args, cell, wl);
   }
 
   bench::emit(table, args, "Ablations — one design knob at a time");

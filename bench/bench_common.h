@@ -41,13 +41,10 @@ struct BenchArgs {
   /// Wall clock on a single-core host compresses contention differences;
   /// the counters expose them directly (see DESIGN.md §1).
   std::string metric = "ms";
-  /// --validate: run each manager's "+V" validated twin and print the
-  /// LaunchReport (redzones, double frees, leaks) after the bench.
-  bool validate = false;
   /// --stack=SPEC: explicit decorator stack, outermost first — e.g.
   /// "trace>fault>validate" (applied to every -t selection) or
   /// "warpagg>Halloc" (full spec incl. base). Overrides the individual
-  /// --validate/--fault/--trace wiring; stages share those flags' configs.
+  /// --fault/--trace wiring; stages share those flags' configs.
   std::string stack;
   /// --config "{k=v,...}": base-allocator config overrides applied to every
   /// -t cell (and to a --stack spec without its own "{...}" suffix). Keys
@@ -208,17 +205,15 @@ inline BenchArgs parse_args(int argc, char** argv,
       args.max_exp = static_cast<unsigned>(std::stoul(need(i)));
     } else if (flag == "--metric") {
       args.metric = need(i);
-    } else if (flag == "--validate") {
-      args.validate = true;
     } else if (flag == "--stack") {
       args.stack = need(i);
-      // Malformed specs are a CLI contract: one-line message, exit 2 —
-      // not an uncaught throw out of ManagedDevice later.
+      // Malformed specs and bad base overrides are a CLI contract: one-line
+      // message, exit 2 — not an uncaught throw out of ManagedDevice later.
       try {
         const auto spec = core::StackSpec::parse(args.stack);
-        if (!spec.base.empty() &&
-            core::Registry::instance().find(spec.base) == nullptr) {
-          throw std::invalid_argument{"unknown allocator: " + spec.base};
+        if (!spec.base.empty()) {
+          core::Registry::instance().check_config(spec.base,
+                                                  spec.base_config);
         }
       } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
@@ -314,7 +309,7 @@ inline BenchArgs parse_args(int argc, char** argv,
           << "common flags: -t o+s+h+c+r+x | name,name  --mem-mb N  "
              "--threads N  --iters N  --sms N  --csv file  --warp  "
              "--range LO-HI  --timeout-s S  --phase init|update|all  "
-             "--scale N  --max-exp N  --validate  --stack SPEC  "
+             "--scale N  --max-exp N  --stack SPEC  "
              "--config \"{k=v,...}\"  --fault=SPEC  --resilience=SPEC  "
              "--watchdog-ms N  --json FILE  "
              "--trace FILE.gmtrace  --chrome FILE  --occupancy FILE\n"
@@ -375,6 +370,19 @@ inline std::string tagged_path(const std::string& path, std::string tag) {
   return path.substr(0, dot) + "." + tag + path.substr(dot);
 }
 
+/// The -t cell that runs `name` as its registered "+V" validated twin,
+/// keeping any "{k=v}" suffix ("XMalloc{num_classes=11}" becomes
+/// "XMalloc+V{num_classes=11}"). An explicit --stack wins: the name comes
+/// back unchanged and the stack decides which stages run.
+inline std::string validated_cell(const BenchArgs& args,
+                                  const std::string& name) {
+  const auto [base, braced] = core::split_config_suffix(name);
+  if (!args.stack.empty() || base.find("+V") != std::string_view::npos) {
+    return name;
+  }
+  return std::string(base) + "+V" + std::string(braced);
+}
+
 /// Builds a fresh device + manager for one measurement (cold start parity
 /// across managers, as the paper's per-test processes provide). Applies the
 /// robustness decorator stack requested on the CLI, outermost first:
@@ -393,8 +401,8 @@ class ManagedDevice {
                 .lane_stack_bytes = 32 * 1024,
                 .watchdog_ms = args.watchdog_ms})) {
     // One wiring path for every decorator combination: fold the legacy
-    // flags (--validate / --fault / --trace) into a stack spec unless
-    // --stack supplied one explicitly, then hand it to the StackBuilder.
+    // flags (--fault / --trace) into a stack spec unless --stack supplied
+    // one explicitly, then hand it to the StackBuilder.
     core::StackSpec spec;
     // -t cell names may carry their own "{k=v}" config suffix
     // (Registry::select validated its shape).
@@ -409,12 +417,8 @@ class ManagedDevice {
         spec.base_config = cell_config;
       }
     } else {
-      // --validate swaps in the manager's registered "+V" twin.
       spec.base = std::string(cell_base);
       spec.base_config = cell_config;
-      if (args.validate && spec.base.find("+V") == std::string::npos) {
-        spec.base += "+V";
-      }
       if (args.fault.mode != core::FaultSpec::Mode::kNone) {
         spec.stages.push_back(core::StackSpec::Stage::kFault);
       }
@@ -513,8 +517,8 @@ class ManagedDevice {
     recorder_->set_enabled(true);
   }
 
-  /// End-of-case summary of the active decorators (no-op when neither
-  /// --validate nor --fault is in effect).
+  /// End-of-case summary of the active decorators (no-op without a fault,
+  /// validate or resilient layer).
   void print_report(std::ostream& os, bool leaks_are_errors = false) {
     if (injector_ != nullptr) {
       os << "[fault " << injector_->spec().to_string() << "] injected "

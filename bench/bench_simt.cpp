@@ -114,10 +114,9 @@ double bench_alloc_sweep(const bench::BenchArgs& args) {
   return time_ms([&] {
     for (const auto& name : args.allocators) {
       bench::BenchArgs sub = args;
-      sub.validate = true;
       if (sub.watchdog_ms <= 0) sub.watchdog_ms = sub.timeout_s * 1000.0;
       try {
-        bench::ManagedDevice md(sub, name);
+        bench::ManagedDevice md(sub, bench::validated_cell(args, name));
         work::AllocPerfParams p;
         p.num_allocs = args.threads != 0 ? args.threads : 10'000;
         p.size_min = 4;

@@ -66,12 +66,13 @@ bench::ManagedDevice make_cell_device(const bench::BenchArgs& args,
                                       const std::string& name,
                                       bool prefer_twin) {
   bench::BenchArgs local = args;
-  local.validate = prefer_twin && name.find("+V") == std::string::npos &&
-                   core::Registry::instance().find(name + "+V") != nullptr;
   // Capture is failure-only here: with_failure_trace writes the trace for
   // doomed cells; a clean cell's recording is discarded at teardown.
   local.trace_auto_write = false;
-  return bench::ManagedDevice(local, name);
+  const bool twin =
+      prefer_twin && core::Registry::instance().find(name + "+V") != nullptr;
+  return bench::ManagedDevice(local,
+                              twin ? bench::validated_cell(args, name) : name);
 }
 
 /// Returns empty when the validation report is clean (or no validator is

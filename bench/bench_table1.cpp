@@ -29,11 +29,10 @@ int measure_stability(const gms::bench::BenchArgs& args) {
   for (const auto& name : args.allocators) {
     const auto* entry = core::Registry::instance().find(name);
     bench::BenchArgs sub = args;
-    sub.validate = true;
     if (sub.watchdog_ms <= 0) sub.watchdog_ms = sub.timeout_s * 1000.0;
     std::string measured;
     try {
-      bench::ManagedDevice md(sub, name);
+      bench::ManagedDevice md(sub, bench::validated_cell(args, name));
       work::AllocPerfParams p;
       p.num_allocs = args.threads != 0 ? args.threads : 4096;
       p.size_min = 4;

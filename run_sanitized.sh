@@ -9,6 +9,9 @@
 # build-ubsan/ — near-native speed, no interceptors; the configuration the
 # CI ubsan lane runs.
 #
+# Both builds keep asserts live: RelWithDebInfo's -DNDEBUG is replaced by
+# plain -O2 -g, so the scheduler and carving invariants are checked too.
+#
 # Usage: ./run_sanitized.sh [--ubsan] [ctest args...]
 #   e.g. ./run_sanitized.sh -R validation
 #        ./run_sanitized.sh --ubsan -R survey
@@ -22,7 +25,8 @@ if [[ "${1:-}" == "--ubsan" ]]; then
   CMAKE_FLAGS=(-DGMS_UBSAN=ON)
 fi
 
-cmake -B "$BUILD_DIR" -S . "${CMAKE_FLAGS[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "$BUILD_DIR" -S . "${CMAKE_FLAGS[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 # LeakSanitizer is off: it cannot walk the hand-switched fiber stacks and
 # reports their (still reachable) allocations as leaks. (Harmless and

@@ -1,5 +1,7 @@
 #include "alloc_core/sub_arena.h"
 
+#include <stdexcept>
+
 namespace gms::alloc_core {
 
 namespace {
@@ -19,6 +21,13 @@ std::string human_bytes(std::size_t bytes) {
 }
 
 }  // namespace
+
+void SubArena::overflow(std::string_view label) const {
+  throw std::invalid_argument{
+      "allocator metadata exceeds heap: carve '" +
+      std::string(label.empty() ? "unlabelled" : label) + "' ends at byte " +
+      std::to_string(off_) + " of " + std::to_string(end_)};
+}
 
 std::string SubArena::describe() const {
   std::string out;

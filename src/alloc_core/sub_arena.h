@@ -40,7 +40,7 @@ class SubArena {
     note(label, off_, sizeof(T) * count);
     auto* p = reinterpret_cast<T*>(base_ + off_);
     off_ += sizeof(T) * count;
-    assert(off_ <= end_ && "allocator metadata exceeds heap");
+    if (off_ > end_) overflow(label);
     return p;
   }
 
@@ -48,6 +48,7 @@ class SubArena {
   std::byte* take_rest(std::size_t& bytes_out, std::size_t align = 16,
                        std::string_view label = {}) {
     off_ = core::round_up(off_, align);
+    if (off_ > end_) overflow(label);
     bytes_out = end_ - off_;
     note(label, off_, bytes_out);
     auto* p = base_ + off_;
@@ -90,6 +91,9 @@ class SubArena {
   void note(std::string_view label, std::size_t off, std::size_t bytes) {
     if (!label.empty()) extents_.push_back({label, off, bytes});
   }
+  /// A carve ran past the slice: throws std::invalid_argument naming it.
+  /// Carving happens only in constructors, so the check is always on.
+  [[noreturn]] void overflow(std::string_view label) const;
 
   std::byte* base_;
   std::size_t end_;

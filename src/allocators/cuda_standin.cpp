@@ -56,13 +56,16 @@ CudaStandin::CudaStandin(std::byte* base, std::size_t heap_bytes) {
     reg.hint = carver.take<std::uint64_t>(1);
     reg.bitmap = carver.take<std::uint64_t>((reg.num_units + 63) / 64);
     if (r == 2) {
+      // The last region pays for all the metadata: it gets exactly what is
+      // left, never more units than its share sized the tables for.
       reg.side_headers = carver.take<std::uint64_t>(reg.num_units);
-      reg.num_units -= reg.num_units / 512 + 1;  // give the table its space
+      std::size_t rest = 0;
+      reg.data = carver.take_rest(rest, 128, kRegionLabels[r]);
+      reg.num_units = std::min(reg.num_units, rest / reg.unit);
+    } else {
+      reg.data = carver.take<std::byte>(reg.num_units * reg.unit, 128,
+                                        kRegionLabels[r]);
     }
-    // Trim so metadata + data fit the share (the carver zero-fills via the
-    // arena's clear; only the data pointer is still needed).
-    reg.data = carver.take<std::byte>(reg.num_units * reg.unit, 128,
-                                      kRegionLabels[r]);
   }
   init_ms_ = timer.elapsed_ms();
 }

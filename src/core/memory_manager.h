@@ -83,7 +83,7 @@ struct AllocatorTraits {
   /// True for harness decorators over a registered manager (the "+V"
   /// validated twins). Excluded from default enumeration so bench/test
   /// populations don't silently double; selected explicitly by name, by the
-  /// 'v' selector letter, or via --validate.
+  /// 'v' selector letter, or by a validate stage in a --stack spec.
   bool decorated = false;
   /// True for the host-based family (src/hostalloc): placement is planned on
   /// the host and the device only consumes — the survey column the paper's

@@ -96,25 +96,28 @@ std::vector<std::string> Registry::select(std::string_view spec) const {
         pos, comma == std::string_view::npos ? spec.size() - pos : comma - pos);
     if (!name.empty()) {
       const auto [base, braced] = split_config_suffix(name);
-      const auto* entry = find(base);
-      if (entry == nullptr) {
-        throw std::invalid_argument{"unknown allocator: " + std::string(base)};
-      }
-      if (!braced.empty()) {
-        const ConfigKV overrides = parse_config_overrides(braced);
-        if (!overrides.empty() && entry->config == nullptr) {
-          throw ConfigError(ConfigError::Kind::kNotConfigurable,
-                            std::string(base),
-                            "allocator '" + std::string(base) +
-                                "' takes no config overrides");
-        }
-      }
+      check_config(base, parse_config_overrides(braced));
       push_unique(name);
     }
     if (comma == std::string_view::npos) break;
     pos = comma + 1;
   }
   return out;
+}
+
+void Registry::check_config(std::string_view name,
+                            const ConfigKV& overrides) const {
+  const auto* entry = find(name);
+  if (entry == nullptr) {
+    throw std::invalid_argument{"unknown allocator: " + std::string(name)};
+  }
+  if (overrides.empty()) return;
+  if (entry->config == nullptr) {
+    throw ConfigError(ConfigError::Kind::kNotConfigurable, std::string(name),
+                      "allocator '" + std::string(name) +
+                          "' takes no config overrides");
+  }
+  (void)entry->config->canonicalize(overrides);
 }
 
 std::unique_ptr<MemoryManager> Registry::make(std::string_view name,

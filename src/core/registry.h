@@ -46,8 +46,14 @@ class Registry {
 
   /// Expands a paper-style selector ("o+s+h", 'v' = validated twins) or a
   /// comma list of names ("Halloc,Ouro-P-S") into registry names. Throws on
-  /// unknown selectors. "all" excludes decorated twins, like names().
+  /// unknown selectors and on "Name{k=v}" overrides check_config rejects.
+  /// "all" excludes decorated twins, like names().
   [[nodiscard]] std::vector<std::string> select(std::string_view spec) const;
+
+  /// Checks `overrides` against `name`'s config schema (keys, ranges and
+  /// cross-field rules) before anything is built. Throws
+  /// std::invalid_argument for an unknown name, ConfigError otherwise.
+  void check_config(std::string_view name, const ConfigKV& overrides) const;
 
   /// Builds a manager over a freshly cleared arena.
   [[nodiscard]] std::unique_ptr<MemoryManager> make(std::string_view name,

@@ -32,7 +32,8 @@ namespace gms::core {
 /// forwarded to the inner allocator.
 ///
 /// Every registry variant has a "+V" twin built from this decorator
-/// (selector letter 'v'); benches opt in with --validate.
+/// (selector letter 'v'); benches opt in with `-t Name+V` or
+/// `--stack validate`.
 class ValidatingManager final : public MemoryManager {
  public:
   /// Carves the validation metadata from the tail of `heap_bytes` and builds

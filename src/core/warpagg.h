@@ -9,10 +9,12 @@
 namespace gms::core {
 
 /// Parsed form of a `--warpagg=` spec: the policy knobs of the adaptive "+W"
-/// warp-aggregation layer (alloc_core::WarpAggregator). Every knob is
-/// deterministic — the cost sampler reads per-SM instrumentation counters
-/// (device atomics, CAS retries, backoffs), never wall clock — so a recorded
-/// trace replays to the same per-site mode decisions at a fixed SM count.
+/// warp-aggregation layer (alloc_core::WarpAggregator). The cost sampler
+/// reads per-SM instrumentation counters (device atomics, CAS retries,
+/// backoffs), never wall clock. At 1 SM those counters are exact, so a
+/// recorded trace replays to the same per-site mode decisions; at 2 or more
+/// SMs a lane spinning on a lock held by another SM counts backoffs for as
+/// long as the holder's host thread takes, so decisions can vary run to run.
 struct WarpAggSpec {
   /// kAdaptive: per-(SM, size-class) sites start on the per-lane passthrough
   /// path and switch to the aggregated path only when the sampled contention

@@ -66,7 +66,6 @@ void BlockExec::ensure_fiber(Lane& lane) {
 }
 
 void BlockExec::retire_lane(Lane& lane) {
-  lane.status = LaneStatus::kDone;
   ++done_lanes_;
   WarpState& ws = warp_of(lane);
   const std::uint32_t bit = 1u << lane.ctx.lane_;
@@ -82,17 +81,6 @@ bool BlockExec::masks_consistent() const {
     if ((ws.ready & ~ws.valid) != 0 || (ws.parked & ~ws.valid) != 0 ||
         (ws.barrier & ~ws.parked) != 0 || (ws.ready & ws.parked) != 0) {
       return false;
-    }
-    const unsigned base = w * kWarpSize;
-    const unsigned n = std::min(kWarpSize, block_dim_ - base);
-    for (unsigned i = 0; i < n; ++i) {
-      const Lane& lane = lanes_[base + i];
-      const std::uint32_t bit = 1u << i;
-      const bool ok =
-          (lane.status == LaneStatus::kReady && (ws.ready & bit) != 0) ||
-          (lane.status == LaneStatus::kParked && (ws.parked & bit) != 0) ||
-          (lane.status == LaneStatus::kDone && (ws.done() & bit) != 0);
-      if (!ok) return false;
     }
   }
   return true;
@@ -110,7 +98,6 @@ void BlockExec::run_block(unsigned block_idx) {
   }
   for (unsigned i = 0; i < block_dim_; ++i) {
     Lane& lane = lanes_[i];
-    lane.status = LaneStatus::kReady;
     lane.spin_streak = 0;
     lane.park = ParkSlot{};
     ThreadCtx& ctx = lane.ctx;
@@ -205,7 +192,7 @@ bool BlockExec::run_warp(unsigned w) {
       if (lane.fiber->resume()) {
         retire_lane(lane);
         progress = true;
-      } else if (lane.status == LaneStatus::kParked) {
+      } else if ((ws.parked >> i) & 1u) {
         progress = true;
       } else if (lane.spin_streak >= kSpinQuantum) {
         exhausted |= 1u << i;
@@ -230,17 +217,17 @@ bool BlockExec::resolve_collectives(unsigned w) {
       // Explicit-mask op: complete only when every member sits parked at the
       // same site with the same mask. Membership is checked member-by-member
       // in lane order, which fixes the pass at which the done-lane deadlock
-      // diagnosis fires.
+      // diagnosis fires. The masks are read live: a group released earlier
+      // in this call has already turned its lanes ready.
       bool complete = true;
       for (std::uint32_t m = lane.park.mask & ws.valid; m != 0; m &= m - 1) {
         const unsigned j = static_cast<unsigned>(std::countr_zero(m));
         const Lane& member = lanes_[base + j];
-        if (member.status == LaneStatus::kDone) {
+        if ((ws.done() >> j) & 1u) {
           throw std::runtime_error{
               "SIMT deadlock: masked collective waits on an exited lane"};
         }
-        if (member.status != LaneStatus::kParked ||
-            member.park.kind != ParkSlot::Kind::kCollective ||
+        if (((ws.collective() >> j) & 1u) == 0 ||
             member.park.site != lane.park.site ||
             member.park.mask != lane.park.mask) {
           complete = false;
@@ -380,8 +367,6 @@ void BlockExec::resolve_group(unsigned w, std::uint32_t member_mask) {
       case CollOp::kAggAtomicAdd:
         break;  // handled by resolve_agg_add_subgroup above
     }
-    slot.kind = ParkSlot::Kind::kNone;
-    lane.status = LaneStatus::kReady;
     lane.spin_streak = 0;
   }
   WarpState& ws = warp_state_[w];
@@ -426,8 +411,6 @@ void BlockExec::resolve_agg_add_subgroup(unsigned w, std::uint32_t sub_mask,
         static_cast<unsigned>(std::popcount(group_mask & ((1u << j) - 1u)));
     slot.out_value = agg_base + running;
     running += slot.value;
-    slot.kind = ParkSlot::Kind::kNone;
-    lane.status = LaneStatus::kReady;
     lane.spin_streak = 0;
   }
   WarpState& ws = warp_state_[w];
@@ -452,16 +435,12 @@ bool BlockExec::try_release_barrier() {
       obs->on_barrier_release(smid_, current_block_);
     }
   }
-  for (unsigned i = 0; i < block_dim_; ++i) {
-    Lane& lane = lanes_[i];
-    if (lane.status != LaneStatus::kDone) {
-      lane.park.kind = ParkSlot::Kind::kNone;
-      lane.status = LaneStatus::kReady;
-      lane.spin_streak = 0;
-    }
-  }
   for (unsigned w = 0; w < warps_; ++w) {
     WarpState& ws = warp_state_[w];
+    for (std::uint32_t m = ws.parked; m != 0; m &= m - 1) {
+      lanes_[w * kWarpSize + static_cast<unsigned>(std::countr_zero(m))]
+          .spin_streak = 0;
+    }
     ws.ready |= ws.parked;  // every parked lane sat at the barrier
     ws.parked = 0;
     ws.barrier = 0;
@@ -485,29 +464,25 @@ TimeoutDiagnosis BlockExec::diagnose(unsigned block_idx) const {
   diag.block_idx = block_idx;
   for (unsigned i = 0; i < block_dim_; ++i) {
     const Lane& lane = lanes_[i];
-    switch (lane.status) {
-      case LaneStatus::kDone:
-        ++diag.lanes_done;
-        break;
-      case LaneStatus::kParked:
-        ++diag.lanes_parked;
-        break;
-      case LaneStatus::kReady:
-        if (lane.spin_streak > 0) {
-          ++diag.lanes_spinning;
-          if (diag.first_stuck_rank == ~0u) {
-            diag.first_stuck_rank = lane.ctx.thread_rank();
-          }
-        } else {
-          ++diag.lanes_ready;
-        }
-        break;
+    const WarpState& ws = warp_state_[i / kWarpSize];
+    const std::uint32_t bit = 1u << (i % kWarpSize);
+    if ((ws.done() & bit) != 0) {
+      ++diag.lanes_done;
+      continue;  // an exited lane holds no lock
     }
-    if (lane.status != LaneStatus::kDone) {
-      for (unsigned l = 0; l < lane.ctx.held_locks(); ++l) {
-        diag.lock_holders.push_back(
-            {lane.ctx.thread_rank(), lane.ctx.held_lock_addr(l)});
+    if ((ws.parked & bit) != 0) {
+      ++diag.lanes_parked;
+    } else if (lane.spin_streak > 0) {
+      ++diag.lanes_spinning;
+      if (diag.first_stuck_rank == ~0u) {
+        diag.first_stuck_rank = lane.ctx.thread_rank();
       }
+    } else {
+      ++diag.lanes_ready;
+    }
+    for (unsigned l = 0; l < lane.ctx.held_locks(); ++l) {
+      diag.lock_holders.push_back(
+          {lane.ctx.thread_rank(), lane.ctx.held_lock_addr(l)});
     }
   }
   return diag;
@@ -525,14 +500,16 @@ void BlockExec::unwind_lanes() {
   unsigned long long budget = 16ull + 4ull * live;
   for (unsigned i = 0; i < block_dim_; ++i) {
     Lane& lane = lanes_[i];
-    while (lane.status != LaneStatus::kDone && budget > 0) {
+    const WarpState& ws = warp_state_[i / kWarpSize];
+    const std::uint32_t bit = 1u << (i % kWarpSize);
+    while ((ws.done() & bit) == 0 && budget > 0) {
       --budget;
       // A lane that never got its first time slice still owns no stack;
       // resuming it runs the kernel body, which cancels at its first yield.
       ensure_fiber(lane);
       if (lane.fiber->resume()) retire_lane(lane);
     }
-    if (lane.status != LaneStatus::kDone) {
+    if ((ws.done() & bit) == 0) {
       if (lane.fiber) lane.fiber->abandon();
       retire_lane(lane);
     }
@@ -558,8 +535,6 @@ void BlockExec::maybe_cancel_lane() const {
 
 void BlockExec::park_collective(Lane& lane) {
   maybe_cancel_lane();
-  lane.park.kind = ParkSlot::Kind::kCollective;
-  lane.status = LaneStatus::kParked;
   WarpState& ws = warp_of(lane);
   const std::uint32_t bit = 1u << lane.ctx.lane_;
   ws.ready &= ~bit;
@@ -570,8 +545,6 @@ void BlockExec::park_collective(Lane& lane) {
 
 void BlockExec::park_barrier(Lane& lane) {
   maybe_cancel_lane();
-  lane.park.kind = ParkSlot::Kind::kBarrier;
-  lane.status = LaneStatus::kParked;
   WarpState& ws = warp_of(lane);
   const std::uint32_t bit = 1u << lane.ctx.lane_;
   ws.ready &= ~bit;

@@ -58,22 +58,21 @@ class BlockExec {
   void run_block(unsigned block_idx);
 
  private:
-  enum class LaneStatus : std::uint8_t { kReady, kParked, kDone };
-
   struct Lane {
     std::unique_ptr<Fiber> fiber;
     ThreadCtx ctx;
     detail::ParkSlot park;
-    LaneStatus status = LaneStatus::kDone;
     unsigned spin_streak = 0;  ///< consecutive backoff yields this pass
   };
 
-  /// Bitmask mirror of one warp's lane states, the scheduler's index:
-  /// invariant valid == ready | parked | done(), barrier ⊆ parked.
+  /// One warp's lane states, the only record of them: every lane is ready,
+  /// parked or done(), and a parked lane waits at the block barrier or at a
+  /// warp collective(). Invariant: ready and parked are disjoint subsets of
+  /// valid, barrier ⊆ parked.
   struct WarpState {
     std::uint32_t valid = 0;    ///< lanes that exist (tail warps are partial)
-    std::uint32_t ready = 0;    ///< LaneStatus::kReady
-    std::uint32_t parked = 0;   ///< LaneStatus::kParked (collective or barrier)
+    std::uint32_t ready = 0;    ///< runnable
+    std::uint32_t parked = 0;   ///< suspended at a collective or the barrier
     std::uint32_t barrier = 0;  ///< subset of parked: at the block barrier
 
     /// Lanes parked at a warp collective (what resolve_collectives groups).
@@ -124,7 +123,7 @@ class BlockExec {
   /// Throws the lane-local cancel exception when a cancellation is underway.
   void maybe_cancel_lane() const;
 
-  // ---- lane state transitions (keep status bytes and masks in lock-step) --
+  // ---- lane state transitions (each one writes only the warp masks) -----
   [[nodiscard]] WarpState& warp_of(const Lane& lane) {
     return warp_state_[lane.ctx.warp_in_block_];
   }
@@ -133,7 +132,7 @@ class BlockExec {
   /// Marks a lane done, updates the warp masks and returns its stack to the
   /// pool.
   void retire_lane(Lane& lane);
-  /// Debug invariant: every warp's masks agree with its lanes' status bytes.
+  /// Debug invariant: every warp's masks satisfy the WarpState invariant.
   [[nodiscard]] bool masks_consistent() const;
 
   // Called from lanes (via ThreadCtx) while their fiber runs.

@@ -45,10 +45,9 @@ enum class CollOp : std::uint8_t {
   kAggAtomicAdd,  ///< warp-aggregated atomic add, resolved with one RMW
 };
 
-/// Per-lane descriptor of a pending warp collective or barrier.
+/// Per-lane descriptor of a pending warp collective. Whether the lane is
+/// parked, and where, lives in its warp's scheduler masks, not here.
 struct ParkSlot {
-  enum class Kind : std::uint8_t { kNone, kCollective, kBarrier };
-  Kind kind = Kind::kNone;
   CollOp op = CollOp::kSync;
   std::uint64_t site = 0;   ///< call-site token (groups divergent lanes)
   std::uint32_t mask = 0;   ///< explicit membership, 0 = open group

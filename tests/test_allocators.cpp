@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
+#include "alloc_core/sub_arena.h"
 #include "allocators/atomic_alloc.h"
 #include "allocators/cuda_standin.h"
 #include "allocators/fdg_malloc.h"
@@ -234,6 +236,64 @@ TEST(CudaStandin, ScanRunLongerThanAWordIn4KiBRegion) {
   // 70 units from hint 560: one free unit, then a full pass over words 0-8,
   // and the scan's last 69 steps wrap again over words 0-1.
   EXPECT_EQ(probe_malloc(d, mgr, 70 * 4096), (ScanProbe{-1, 14, 1}));
+}
+
+// The 4 KiB region is carved last, after every region's metadata, so it must
+// get only the bytes that are left. These fill it with 4 KiB requests (one
+// unit each) in 4,096-lane waves until one fails, and return the highest
+// block end as an arena offset; first-fit from the rotating hint claims
+// every unit before the first failure.
+std::size_t fill_large_region(Device& d, core::MemoryManager& mgr) {
+  const auto base = reinterpret_cast<std::uintptr_t>(d.arena().data());
+  std::vector<void*> ptrs(4096);
+  std::size_t top = 0;
+  for (bool full = false; !full;) {
+    d.launch(16, 256,
+             [&](ThreadCtx& t) { ptrs[t.thread_rank()] = mgr.malloc(t, 4096); });
+    for (void* p : ptrs) {
+      if (p == nullptr) {
+        full = true;
+        continue;
+      }
+      top = std::max<std::size_t>(
+          top, reinterpret_cast<std::uintptr_t>(p) - base + 4096);
+    }
+  }
+  return top;
+}
+
+TEST(CudaStandin, LargeRegionEndsInsideHeap) {
+  for (std::size_t mib : {10u, 16u, 20u, 64u, 256u}) {
+    const std::size_t heap = mib << 20;
+    Device d(heap, GpuConfig{.num_sms = 1});  // the arena is the heap
+    CudaStandin mgr(d, heap);
+    EXPECT_LE(fill_large_region(d, mgr), heap) << mib << " MiB";
+  }
+}
+
+TEST(CudaStandin, RelaySliceEndsInsideHeap) {
+  // Halloc relays requests above 3 KiB to a CudaStandin on its heap tail.
+  constexpr std::size_t kHeap = 64u << 20;
+  Device d(kHeap, GpuConfig{.num_sms = 1});
+  Halloc mgr(d, kHeap);
+  EXPECT_LE(fill_large_region(d, mgr), kHeap);
+}
+
+TEST(SubArena, CarvePastTheEndThrowsNamingIt) {
+  std::vector<std::byte> buf(256);
+  alloc_core::SubArena carver(buf.data(), buf.size());
+  (void)carver.take<std::uint64_t>(31, 8, "table");  // 248 of 256 bytes
+  try {
+    (void)carver.take<std::uint64_t>(2, 8, "bitmap");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'bitmap'"), std::string::npos)
+        << e.what();
+  }
+  alloc_core::SubArena tail(buf.data(), 250);
+  (void)tail.take<std::byte>(249);
+  std::size_t rest = 0;
+  EXPECT_THROW((void)tail.take_rest(rest, 16, "pool"), std::invalid_argument);
 }
 
 // ---- ScatterAlloc --------------------------------------------------------------

@@ -231,6 +231,10 @@ TEST_F(ConfigRegistryTest, SelectKeepsBracedTokensWhole) {
   EXPECT_THROW((void)reg().select("NoSuchAlloc{a=1}"), std::invalid_argument);
   expect_config_error([&] { (void)reg().select("CUDA{a=1}"); },
                       Kind::kNotConfigurable, "CUDA");
+  // Values are checked against the schema before anything is built.
+  expect_config_error(
+      [&] { (void)reg().select("Halloc,Halloc{head_replace_fill=1.0}"); },
+      Kind::kOutOfRange, "head_replace_fill");
 }
 
 // ---- Stack-spec plumbing down to a live manager --------------------------

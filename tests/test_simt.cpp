@@ -474,5 +474,47 @@ TEST(Simt, WatchdogDiagnosis) {
   EXPECT_EQ(count, 32u);
 }
 
+TEST(Simt, WatchdogDiagnosisCountsExitedLanesAndLockHolders) {
+  // Warp 2 exits at once (lane 64 with a lock note it never clears), thread
+  // 40 of warp 1 holds a lock and spins, everyone else waits at the block
+  // barrier: the diagnosis counts each state once and names only the live
+  // holder, and unwinding a block with exited lanes leaves the device usable.
+  GpuConfig cfg{.num_sms = 1};
+  cfg.watchdog_ms = 100;
+  cfg.watchdog_poll_ms = 5;
+  Device local(1u << 20, cfg);
+  static std::uint32_t held_lock = 0;
+  static std::uint32_t exited_lock = 0;
+  TimeoutDiagnosis diag;
+  try {
+    local.launch(1, 96, [](ThreadCtx& t) {
+      if (t.warp_in_block() == 2) {
+        if (t.thread_rank() == 64) t.note_lock_acquired(&exited_lock);
+        return;
+      }
+      if (t.thread_rank() == 40) {
+        t.note_lock_acquired(&held_lock);
+        for (;;) t.backoff();
+      }
+      t.sync_block();
+    });
+    FAIL() << "expected LaunchTimeout";
+  } catch (const LaunchTimeout& e) {
+    diag = e.diagnosis();
+  }
+  EXPECT_EQ(diag.block_idx, 0u);
+  EXPECT_EQ(diag.lanes_done, 32u);
+  EXPECT_EQ(diag.lanes_spinning, 1u);
+  EXPECT_EQ(diag.lanes_parked, 63u);
+  EXPECT_EQ(diag.lanes_ready, 0u);
+  EXPECT_EQ(diag.first_stuck_rank, 40u);
+  ASSERT_EQ(diag.lock_holders.size(), 1u);
+  EXPECT_EQ(diag.lock_holders[0].thread_rank, 40u);
+  EXPECT_EQ(diag.lock_holders[0].lock_addr, &held_lock);
+  std::uint32_t count = 0;
+  local.launch(1, 96, [&](ThreadCtx& t) { t.atomic_add(&count, 1u); });
+  EXPECT_EQ(count, 96u);
+}
+
 }  // namespace
 }  // namespace gms::gpu

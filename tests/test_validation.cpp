@@ -10,6 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/error_sink.h"
 #include "core/fault_inject.h"
@@ -245,6 +246,31 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultSpec::parse("prob:-0.1"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::parse("budget:"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::parse("nth:4,delayy=2"), std::invalid_argument);
+}
+
+TEST(ValidatingManager, CudaRotatingChurnStaysInsideItsHeap) {
+  // CUDA's rotating first-fit hint walks its whole 4 KiB region, top unit
+  // included, far from exhaustion: 512 live 4,000 B blocks of ~8,000 units.
+  // The top units must lie inside the prefix the validator handed CUDA, not
+  // in the validator's shadow table behind it (an out-of-heap error and a
+  // nullptr).
+  constexpr std::size_t kHeap = 64u << 20;
+  Device d(kHeap, GpuConfig{.num_sms = 1});
+  auto mgr = make_validated(d, kHeap, "CUDA");
+  std::vector<void*> live(512, nullptr);
+  std::size_t nulls = 0;
+  for (int round = 0; round < 64; ++round) {
+    d.launch(2, 256, [&](ThreadCtx& t) {
+      void*& slot = live[t.thread_rank()];
+      mgr->free(t, slot);
+      slot = mgr->malloc(t, 4000);
+    });
+    nulls += static_cast<std::size_t>(std::count(live.begin(), live.end(), nullptr));
+  }
+  d.launch(2, 256, [&](ThreadCtx& t) { mgr->free(t, live[t.thread_rank()]); });
+  EXPECT_EQ(nulls, 0u);
+  const auto report = mgr->drain_report(/*leaks_are_errors=*/true);
+  EXPECT_TRUE(report.clean()) << report.to_string();
 }
 
 // ---- property test: every general-purpose allocator survives a seeded
