@@ -41,25 +41,16 @@ struct BenchArgs {
   /// Wall clock on a single-core host compresses contention differences;
   /// the counters expose them directly (see DESIGN.md §1).
   std::string metric = "ms";
-  /// --stack=SPEC: explicit decorator stack, outermost first — e.g.
-  /// "trace>fault>validate" (applied to every -t selection) or
-  /// "warpagg>Halloc" (full spec incl. base). Overrides the individual
-  /// --fault/--trace wiring; stages share those flags' configs.
+  /// --stack=SPEC: explicit decorator stack, outermost first, every token
+  /// with optional "{k=v}" knobs — e.g. "fault{mode=nth,n=7}>validate"
+  /// (applied to every -t selection) or "warpagg{slab=16}>Halloc" (full
+  /// spec incl. base). See cell_stack() for how a cell's stack is folded.
   std::string stack;
   /// --config "{k=v,...}": base-allocator config overrides applied to every
   /// -t cell (and to a --stack spec without its own "{...}" suffix). Keys
-  /// are validated against each manager's ConfigSchema at build time;
-  /// "Name{k=v}" inside --stack wins over this flag.
+  /// are checked against each cell's ConfigSchema in parse_args; a cell's
+  /// own "Name{k=v}" (in -t or --stack) wins over this flag.
   std::string config;
-  /// --fault=SPEC: wrap every manager in the deterministic FaultInjector
-  /// ("nth:7", "prob:0.05:42", "budget:1048576", suffix ",delay=K").
-  core::FaultSpec fault;
-  /// --resilience=SPEC: policy knobs for any "resilient" stage
-  /// ("retries=3,reserve=8,breaker=16,decay=256,backoff=4,seed=S").
-  core::ResilienceSpec resilience;
-  /// --warpagg=SPEC: policy knobs for any "warpagg" stage / "+W" twin
-  /// ("adaptive|always[,enter=N,exit=N,dwell=N,sample=N,probe=N,slab=KB]").
-  core::WarpAggSpec warpagg;
   /// --smoke: bench-specific quick mode (bench_warpagg: one rep, fewer
   /// rounds, implies the CI speedup gate).
   bool smoke = false;
@@ -147,6 +138,29 @@ struct BenchArgs {
   [[nodiscard]] std::size_t heap_bytes() const { return mem_mb << 20; }
 };
 
+/// The one stack a -t cell runs: the --stack spec (a stage-only spec takes
+/// the cell, "{k=v}" suffix included, as its base), --config on a base
+/// without its own "{...}", and a trace stage in front whenever --trace
+/// names a file and the spec has none.
+inline core::StackSpec cell_stack(const BenchArgs& args,
+                                  const std::string& name) {
+  core::StackSpec spec =
+      args.stack.empty() ? core::StackSpec{} : core::StackSpec::parse(args.stack);
+  if (spec.base.empty()) {
+    const auto [base, braced] = core::split_config_suffix(name);
+    spec.base = std::string(base);
+    spec.base_config = core::parse_config_overrides(braced);
+  }
+  if (!args.config.empty() && spec.base_config.empty()) {
+    spec.base_config = core::parse_config_overrides(args.config);
+  }
+  if (!args.trace.empty() && !spec.has(core::StackSpec::Stage::kTrace)) {
+    spec.stages.insert(spec.stages.begin(),
+                       {core::StackSpec::Stage::kTrace, {}});
+  }
+  return spec;
+}
+
 inline BenchArgs parse_args(int argc, char** argv,
                             const char* default_selector = "all") {
   core::register_all_allocators();
@@ -207,49 +221,8 @@ inline BenchArgs parse_args(int argc, char** argv,
       args.metric = need(i);
     } else if (flag == "--stack") {
       args.stack = need(i);
-      // Malformed specs and bad base overrides are a CLI contract: one-line
-      // message, exit 2 — not an uncaught throw out of ManagedDevice later.
-      try {
-        const auto spec = core::StackSpec::parse(args.stack);
-        if (!spec.base.empty()) {
-          core::Registry::instance().check_config(spec.base,
-                                                  spec.base_config);
-        }
-      } catch (const std::invalid_argument& e) {
-        std::cerr << e.what() << "\n";
-        std::exit(2);
-      }
     } else if (flag == "--config") {
       args.config = need(i);
-      // Shape-check eagerly (same CLI contract as --stack); key/value
-      // validation happens per manager at build time.
-      try {
-        (void)core::parse_config_overrides(args.config);
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        std::exit(2);
-      }
-    } else if (flag == "--fault") {
-      try {
-        args.fault = core::FaultSpec::parse(need(i));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        std::exit(2);
-      }
-    } else if (flag == "--resilience") {
-      try {
-        args.resilience = core::ResilienceSpec::parse(need(i));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        std::exit(2);
-      }
-    } else if (flag == "--warpagg") {
-      try {
-        args.warpagg = core::WarpAggSpec::parse(need(i));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        std::exit(2);
-      }
     } else if (flag == "--smoke") {
       args.smoke = true;
     } else if (flag == "--min-speedup") {
@@ -310,22 +283,20 @@ inline BenchArgs parse_args(int argc, char** argv,
              "--threads N  --iters N  --sms N  --csv file  --warp  "
              "--range LO-HI  --timeout-s S  --phase init|update|all  "
              "--scale N  --max-exp N  --stack SPEC  "
-             "--config \"{k=v,...}\"  --fault=SPEC  --resilience=SPEC  "
-             "--watchdog-ms N  --json FILE  "
+             "--config \"{k=v,...}\"  --watchdog-ms N  --json FILE  "
              "--trace FILE.gmtrace  --chrome FILE  --occupancy FILE\n"
-             "fault SPECs: nth:N  prob:P[:SEED]  budget:BYTES  "
-             "(optional suffix ,delay=K)\n"
-             "resilience SPECs: retries=N,backoff=B,seed=S,reserve=PCT,"
-             "breaker=N,decay=N (any subset)\n"
-             "warpagg SPECs: adaptive|always followed by any of "
-             "enter=N,exit=N,dwell=N,sample=N,probe=N,slab=KB\n"
-             "bench_warpagg: --smoke (quick CI gate)  --min-speedup X  "
-             "--reps N\n"
              "stack SPECs: '>'-separated stages outermost first from "
              "{trace, fault, validate, warpagg, resilient}, optionally "
              "ending in a base allocator name (else applied to each -t "
-             "selection); the base may carry config overrides, e.g. "
-             "validate>ScatterAlloc{page_size=8192,hash_stride=7}\n"
+             "selection); every token takes \"{k=v,...}\" knobs, e.g. "
+             "resilient{retries=2}>fault{mode=nth,n=7}>"
+             "ScatterAlloc{page_size=8192}\n"
+             "stage knobs: fault{mode=none|nth|prob|budget,n=N,p=P,seed=S,"
+             "budget=BYTES}  resilient{retries=N,backoff=B,seed=S,"
+             "reserve=PCT,breaker=N,decay=N}  warpagg{enter=N,exit=N,"
+             "dwell=N,sample=N,probe=N,slab=KB}  (trace, validate: none)\n"
+             "bench_warpagg: --smoke (quick CI gate)  --min-speedup X  "
+             "--reps N\n"
              "bench_tune: --generations N  --population N  --tune-seed S  "
              "--traces DIR  --tuned-dir DIR  --reps N  --smoke  "
              "--min-speedup X\n"
@@ -345,8 +316,18 @@ inline BenchArgs parse_args(int argc, char** argv,
       std::exit(2);
     }
   }
+  // Malformed specs and rejected knobs are a CLI contract: one-line
+  // message, exit 2 — not an uncaught throw out of ManagedDevice later.
+  // Every cell's folded stack is checked, so --stack and --config are
+  // judged against exactly the bases they will reach.
   try {
+    (void)core::parse_config_overrides(args.config);
+    if (!args.stack.empty()) (void)core::StackSpec::parse(args.stack);
     args.allocators = core::Registry::instance().select(selector);
+    for (const auto& name : args.allocators) {
+      const auto spec = cell_stack(args, name);
+      core::Registry::instance().check_config(spec.base, spec.base_config);
+    }
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\n";
     std::exit(2);
@@ -372,20 +353,28 @@ inline std::string tagged_path(const std::string& path, std::string tag) {
 
 /// The -t cell that runs `name` as its registered "+V" validated twin,
 /// keeping any "{k=v}" suffix ("XMalloc{num_classes=11}" becomes
-/// "XMalloc+V{num_classes=11}"). An explicit --stack wins: the name comes
-/// back unchanged and the stack decides which stages run.
+/// "XMalloc+V{num_classes=11}"). A --stack that names a base or a
+/// validate, resilient or warpagg stage wins: the name comes back unchanged
+/// and the stack decides which stages run. Stacks of the transparent trace
+/// and fault observers alone (bench_survey's soak rounds) keep the twin.
 inline std::string validated_cell(const BenchArgs& args,
                                   const std::string& name) {
+  using Stage = core::StackSpec::Stage;
   const auto [base, braced] = core::split_config_suffix(name);
-  if (!args.stack.empty() || base.find("+V") != std::string_view::npos) {
-    return name;
+  if (!args.stack.empty()) {
+    const auto stack = core::StackSpec::parse(args.stack);
+    if (!stack.base.empty() || stack.has(Stage::kValidate) ||
+        stack.has(Stage::kResilient) || stack.has(Stage::kWarpAgg)) {
+      return name;
+    }
   }
+  if (base.find("+V") != std::string_view::npos) return name;
   return std::string(base) + "+V" + std::string(braced);
 }
 
 /// Builds a fresh device + manager for one measurement (cold start parity
 /// across managers, as the paper's per-test processes provide). Applies the
-/// robustness decorator stack requested on the CLI, outermost first:
+/// robustness decorator stack requested on the CLI (cell_stack), e.g.
 /// TracingManager( FaultInjector( ValidatingManager( inner ) ) ) — faults
 /// are injected above the validator so an injected nullptr never reaches
 /// redzone bookkeeping, and the tracer sits outermost so a recorded stream
@@ -400,44 +389,9 @@ class ManagedDevice {
                 .num_sms = args.num_sms,
                 .lane_stack_bytes = 32 * 1024,
                 .watchdog_ms = args.watchdog_ms})) {
-    // One wiring path for every decorator combination: fold the legacy
-    // flags (--fault / --trace) into a stack spec unless --stack supplied
-    // one explicitly, then hand it to the StackBuilder.
-    core::StackSpec spec;
-    // -t cell names may carry their own "{k=v}" config suffix
-    // (Registry::select validated its shape).
-    const auto [cell_base, cell_braced] = core::split_config_suffix(name);
-    const core::ConfigKV cell_config =
-        cell_braced.empty() ? core::ConfigKV{}
-                            : core::parse_config_overrides(cell_braced);
-    if (!args.stack.empty()) {
-      spec = core::StackSpec::parse(args.stack);
-      if (spec.base.empty()) {  // stage-only spec: per -t cell
-        spec.base = std::string(cell_base);
-        spec.base_config = cell_config;
-      }
-    } else {
-      spec.base = std::string(cell_base);
-      spec.base_config = cell_config;
-      if (args.fault.mode != core::FaultSpec::Mode::kNone) {
-        spec.stages.push_back(core::StackSpec::Stage::kFault);
-      }
-      if (!args.trace.empty()) {
-        spec.stages.insert(spec.stages.begin(),
-                           core::StackSpec::Stage::kTrace);
-      }
-    }
-    // --config overrides apply to every cell's base; an explicit "{...}"
-    // suffix inside --stack wins.
-    if (!args.config.empty() && spec.base_config.empty()) {
-      spec.base_config = core::parse_config_overrides(args.config);
-    }
     heap_bytes_ = args.heap_bytes();
-    auto stack = core::StackBuilder(*device_)
-                     .fault(args.fault)
-                     .resilience(args.resilience)
-                     .warpagg(args.warpagg)
-                     .build(spec, args.heap_bytes());
+    auto stack = core::StackBuilder(*device_).build(cell_stack(args, name),
+                                                    args.heap_bytes());
     mgr_ = std::move(stack.manager);
     recorder_ = std::move(stack.recorder);
     validator_ = stack.validator;
@@ -521,16 +475,21 @@ class ManagedDevice {
   /// validate or resilient layer).
   void print_report(std::ostream& os, bool leaks_are_errors = false) {
     if (injector_ != nullptr) {
-      os << "[fault " << injector_->spec().to_string() << "] injected "
-         << injector_->injected_failures() << " of " << injector_->calls()
-         << " mallocs\n";
+      os << "[fault"
+         << core::format_config(core::FaultSpec::config_schema().serialize(
+                injector_->spec()))
+         << "] injected " << injector_->injected_failures() << " of "
+         << injector_->calls() << " mallocs\n";
     }
     if (validator_ != nullptr) {
       os << validator_->drain_report(leaks_are_errors).to_string() << "\n";
     }
     if (resilient_ != nullptr) {
-      os << "[resilient " << resilient_->spec().to_string() << "] "
-         << resilient_->report().to_string() << "\n";
+      os << "[resilient"
+         << core::format_config(
+                core::ResilienceSpec::config_schema().serialize(
+                    resilient_->spec()))
+         << "] " << resilient_->report().to_string() << "\n";
     }
   }
 

@@ -1,9 +1,9 @@
 // Failure-recovery A/B: every base allocator against its "+R" resilient
 // twin (ResilientManager, DESIGN.md §11) under the warp-agg convergent
 // churn, then once more with a deterministic fault injector stacked between
-// the recovery layer and the base ("resilient>fault>NAME") so the retry /
-// reserve-fallback / circuit-breaker chain demonstrably absorbs failures
-// the base would surface as nullptr.
+// the recovery layer and the base ("resilient>fault{mode=nth,n=97}>NAME")
+// so the retry / reserve-fallback / circuit-breaker chain demonstrably
+// absorbs failures the base would surface as nullptr.
 //
 // The headline acceptance column is "+R unrecovered": the resilient twin
 // must report ZERO unrecovered allocation failures for every manager, churn
@@ -42,15 +42,12 @@ struct CellResult {
 /// base_failed numbers line up with BENCH_warpagg.json. Warp-level-only
 /// managers churn through warp_malloc + a per-round warp_free_all instead.
 CellResult run_cell(const bench::BenchArgs& args, const std::string& spec,
-                    unsigned rounds, const core::FaultSpec& fault) {
+                    unsigned rounds) {
   gpu::Device dev(args.heap_bytes() + (8u << 20),
                   gpu::GpuConfig{.num_sms = args.num_sms,
                                  .lane_stack_bytes = 32 * 1024,
                                  .watchdog_ms = args.watchdog_ms});
-  auto stack = core::StackBuilder(dev)
-                   .fault(fault)
-                   .resilience(args.resilience)
-                   .build(spec, args.heap_bytes());
+  auto stack = core::StackBuilder(dev).build(spec, args.heap_bytes());
   dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx&) {});  // warm-up
 
   static constexpr std::size_t kSizes[4] = {32, 64, 128, 256};
@@ -104,11 +101,11 @@ int main(int argc, char** argv) {
   const unsigned rounds = args.iters != 0 ? args.iters : 16;
   // The fault round injects a deterministic every-Nth failure below the
   // recovery layer; the very next (retried) call succeeds, so this isolates
-  // the retry path. --fault overrides the schedule.
-  core::FaultSpec fault = args.fault;
-  if (fault.mode == core::FaultSpec::Mode::kNone) {
-    fault = core::FaultSpec::parse("nth:97");
-  }
+  // the retry path.
+  const std::string fault = "fault{mode=nth,n=97}";
+  const std::string resilient =
+      "resilient" + core::format_config(core::ResilienceSpec::config_schema()
+                                            .serialize(core::ResilienceSpec{}));
 
   std::vector<std::string> bases;
   for (const auto& name : args.allocators) {
@@ -125,16 +122,16 @@ int main(int argc, char** argv) {
       .num("rounds", rounds)
       .num("num_sms", args.num_sms)
       .num("heap_bytes", args.heap_bytes())
-      .str("fault", fault.to_string())
-      .str("resilience", args.resilience.to_string());
+      .str("fault", fault)
+      .str("resilience", resilient);
 
   std::uint64_t total_unrecovered = 0;
   for (const auto& name : bases) {
     CellResult base, res, res_fault;
     try {
-      base = run_cell(args, name, rounds, {});
-      res = run_cell(args, "resilient>" + name, rounds, {});
-      res_fault = run_cell(args, "resilient>fault>" + name, rounds, fault);
+      base = run_cell(args, name, rounds);
+      res = run_cell(args, "resilient>" + name, rounds);
+      res_fault = run_cell(args, "resilient>" + fault + ">" + name, rounds);
     } catch (const std::exception& e) {
       std::cerr << name << ": " << e.what() << "\n";
       table.add_row(
@@ -203,7 +200,7 @@ int main(int argc, char** argv) {
 
   bench::emit(table, args,
               "Failure recovery — base vs \"+R\" twin, warp-agg churn + "
-              "fault round (" + fault.to_string() + "), " +
+              "fault round (" + fault + "), " +
                   std::to_string(rounds) + " rounds/lane");
   if (!args.json.empty()) json.write(args.json);
   if (total_unrecovered != 0) {

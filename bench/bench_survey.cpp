@@ -209,16 +209,16 @@ core::CellOutcome oom_cell(const bench::BenchArgs& args,
 /// Deterministic per-round fault schedule: probabilistic flakes, every-Nth
 /// failures and a byte-budget cliff rotate across rounds, each seeded by the
 /// round index so a failing round can be re-run bit-identically.
-core::FaultSpec soak_fault(unsigned round, std::size_t heap_bytes) {
+std::string soak_fault(unsigned round, std::size_t heap_bytes) {
   switch (round % 3) {
     case 0:
-      return core::FaultSpec::parse("prob:0.02:" +
-                                    std::to_string(0x50AC + round));
+      return "fault{mode=prob,p=0.02,seed=" + std::to_string(0x50AC + round) +
+             "}";
     case 1:
-      return core::FaultSpec::parse("nth:" + std::to_string(64 + 32 * round));
+      return "fault{mode=nth,n=" + std::to_string(64 + 32 * round) + "}";
     default:
-      return core::FaultSpec::parse("budget:" +
-                                    std::to_string(heap_bytes / 2));
+      return "fault{mode=budget,budget=" + std::to_string(heap_bytes / 2) +
+             "}";
   }
 }
 
@@ -263,15 +263,15 @@ int run_soak(const bench::BenchArgs& args,
       unsigned failures = 0, reproduced = 0, committed = 0;
       for (unsigned round = 0; round < args.soak; ++round) {
         bench::BenchArgs local = args;
-        local.fault = soak_fault(round, args.heap_bytes());
+        const std::string fault = soak_fault(round, args.heap_bytes());
+        local.stack = args.stack.empty() ? fault : fault + ">" + args.stack;
         local.trace = "results/soak/r" + std::to_string(round) + ".gmtrace";
         const auto verdict = runner.probe_cell([&]() -> core::CellOutcome {
           return run_workload_cell(local, workload, name);
         });
         if (verdict == core::Verdict::kOk) continue;
         ++failures;
-        std::cout << key << " r" << round << " ["
-                  << local.fault.to_string()
+        std::cout << key << " r" << round << " [" << fault
                   << "]: " << core::to_string(verdict) << "\n";
 
         const std::string saved =
@@ -311,8 +311,8 @@ int run_soak(const bench::BenchArgs& args,
         entry.stack = stack;
         entry.expected = rv;
         entry.source = "soak";
-        entry.note = "round " + std::to_string(round) + " fault " +
-                     local.fault.to_string() + ", cell verdict " +
+        entry.note = "round " + std::to_string(round) + " " + fault +
+                     ", cell verdict " +
                      core::to_string(verdict) + ", minimized " +
                      std::to_string(min.original_ops) + "->" +
                      std::to_string(min.minimized_ops) + " ops in " +

@@ -71,9 +71,7 @@ CellResult run_cell_once(const bench::BenchArgs& args, const std::string& spec,
                   gpu::GpuConfig{.num_sms = args.num_sms,
                                  .lane_stack_bytes = 32 * 1024,
                                  .watchdog_ms = args.watchdog_ms});
-  auto stack = core::StackBuilder(dev)
-                   .warpagg(args.warpagg)
-                   .build(spec, args.heap_bytes());
+  auto stack = core::StackBuilder(dev).build(spec, args.heap_bytes());
   dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx&) {});  // warm-up
 
   std::atomic<std::uint64_t> failed{0};
@@ -193,12 +191,16 @@ int main(int argc, char** argv) {
                            "speedup", "base cas+4bo/malloc",
                            "+W atomics/malloc", "groups", "passthru",
                            "switches"});
+  // The "+W" side runs the stock "warpagg" stage: its full knob set.
+  const std::string warpagg =
+      "warpagg" + core::format_config(core::WarpAggSpec::config_schema()
+                                          .serialize(core::WarpAggSpec{}));
   core::BenchJson json("warpagg");
   json.meta()
       .num("rounds", rounds)
       .num("num_sms", args.num_sms)
       .num("heap_bytes", args.heap_bytes())
-      .str("warpagg", args.warpagg.to_string())
+      .str("warpagg", warpagg)
       .num("min_speedup_gate", gate);
 
   bool gate_failed = false;
@@ -230,8 +232,7 @@ int main(int argc, char** argv) {
       const double contention =
           static_cast<double>(base.cas_failed + 4 * base.backoffs) / calls;
       if (gate > 0 && wl == Workload::kConvergent) {
-        // "Stayed passthrough" means no group was ever served aggregated —
-        // not zero switches, which a pinned `always` policy also reports.
+        // "Stayed passthrough" means no group was ever served aggregated.
         if (agg.agg.groups_combined == 0) {
           // Small slack: the warm-up launch and slab teardown may resolve
           // a handful of collectives outside the churn itself.
@@ -292,8 +293,7 @@ int main(int argc, char** argv) {
 
   bench::emit(table, args,
               "Warp aggregation — base vs adaptive \"+W\" twin (" +
-                  args.warpagg.to_string() + "), " + std::to_string(rounds) +
-                  " rounds/lane");
+                  warpagg + "), " + std::to_string(rounds) + " rounds/lane");
   if (!args.json.empty()) json.write(args.json);
   if (gate_failed) {
     std::cerr << "bench_warpagg: speedup gate (" << gate << "x) FAILED\n";

@@ -148,9 +148,6 @@ void WarpAggregator::update_ema(gpu::ThreadCtx& ctx, SmState& sm,
 }
 
 void* WarpAggregator::malloc(gpu::ThreadCtx& ctx, std::size_t size) {
-  if (spec_.policy == core::WarpAggSpec::Policy::kAlways) {
-    return aggregated_malloc(ctx, size, nullptr);
-  }
   SmState& sm = sm_[ctx.smid()];
   SiteState& st = sm.sites[site_index(size)];
   if (st.aggregated) return aggregated_malloc(ctx, size, &st);

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -133,11 +134,11 @@ std::vector<std::uint64_t> parse_ladder_string(std::string_view value,
 
 std::uint64_t config_parse_u64(const std::string& value,
                                const std::string& field) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
-  if (errno != 0 || end == value.c_str() || *end != '\0' ||
-      value.find('-') != std::string::npos) {
+  // Plain decimal only: no sign, base prefix or surrounding space.
+  std::uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
     throw ConfigError(ConfigError::Kind::kBadValue, field,
                       "config field '" + field + "': '" + value +
                           "' is not an unsigned integer");

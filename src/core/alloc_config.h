@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -114,10 +115,15 @@ class ConfigSchema {
  public:
   using CrossCheck = std::function<void(const C&)>;  ///< throws ConfigError
 
+  /// `hi` may not exceed what M holds, so no accepted value is truncated.
   template <typename M>
   ConfigSchema& u64(std::string name, M C::*mem, std::uint64_t lo,
                     std::uint64_t hi, Pow2 pow2 = Pow2::kNo,
                     std::vector<std::uint64_t> grid = {}) {
+    if (hi > std::numeric_limits<M>::max()) {
+      throw std::logic_error("config field '" + name +
+                             "': bound exceeds the member's width");
+    }
     ConfigFieldInfo info;
     info.name = name;
     info.kind = ConfigFieldInfo::Kind::kU64;

@@ -1,9 +1,6 @@
 #include "core/fault_inject.h"
 
-#include <charconv>
-#include <cstdlib>
-#include <stdexcept>
-
+#include "core/alloc_config.h"
 #include "gpu/thread_ctx.h"
 
 namespace gms::core {
@@ -17,86 +14,29 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::uint64_t parse_u64(std::string_view s, const char* what) {
-  std::uint64_t v = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || end != s.data() + s.size()) {
-    throw std::invalid_argument(std::string("fault spec: bad ") + what +
-                                " '" + std::string(s) + "'");
-  }
-  return v;
-}
-
-double parse_prob(std::string_view s) {
-  // std::from_chars<double> is not universally available; strtod via a copy.
-  const std::string buf(s);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || v < 0.0 || v > 1.0) {
-    throw std::invalid_argument("fault spec: bad probability '" + buf + "'");
-  }
-  return v;
-}
-
 }  // namespace
 
-FaultSpec FaultSpec::parse(std::string_view spec) {
-  FaultSpec out;
-  // Split off an optional ",delay=K" suffix first.
-  if (const auto comma = spec.find(','); comma != std::string_view::npos) {
-    std::string_view tail = spec.substr(comma + 1);
-    constexpr std::string_view kDelay = "delay=";
-    if (tail.substr(0, kDelay.size()) != kDelay) {
-      throw std::invalid_argument("fault spec: unknown option '" +
-                                  std::string(tail) + "'");
-    }
-    out.delay = static_cast<std::uint32_t>(
-        parse_u64(tail.substr(kDelay.size()), "delay"));
-    spec = spec.substr(0, comma);
-  }
-  const auto colon = spec.find(':');
-  const std::string_view mode = spec.substr(0, colon);
-  const std::string_view arg =
-      colon == std::string_view::npos ? std::string_view{}
-                                      : spec.substr(colon + 1);
-  if (mode == "none" || mode.empty()) {
-    out.mode = Mode::kNone;
-  } else if (mode == "nth") {
-    out.mode = Mode::kNth;
-    out.n = parse_u64(arg, "period");
-    if (out.n == 0) throw std::invalid_argument("fault spec: nth:0");
-  } else if (mode == "prob") {
-    out.mode = Mode::kProb;
-    if (const auto c2 = arg.find(':'); c2 != std::string_view::npos) {
-      out.p = parse_prob(arg.substr(0, c2));
-      out.seed = parse_u64(arg.substr(c2 + 1), "seed");
-    } else {
-      out.p = parse_prob(arg);
-    }
-  } else if (mode == "budget") {
-    out.mode = Mode::kBudget;
-    out.budget_bytes = parse_u64(arg, "budget");
-  } else {
-    throw std::invalid_argument("fault spec: unknown mode '" +
-                                std::string(mode) + "'");
-  }
-  return out;
-}
-
-std::string FaultSpec::to_string() const {
-  std::string s;
-  switch (mode) {
-    case Mode::kNone: s = "none"; break;
-    case Mode::kNth: s = "nth:" + std::to_string(n); break;
-    case Mode::kProb:
-      s = "prob:" + std::to_string(p) + ":" + std::to_string(seed);
-      break;
-    case Mode::kBudget:
-      s = "budget:" + std::to_string(budget_bytes);
-      break;
-  }
-  if (delay > 0) s += ",delay=" + std::to_string(delay);
-  return s;
+const ConfigSchema<FaultSpec>& FaultSpec::config_schema() {
+  static const auto schema = [] {
+    ConfigSchema<FaultSpec> s;
+    s.enum_("mode", &FaultSpec::mode,
+            {{"none", Mode::kNone},
+             {"nth", Mode::kNth},
+             {"prob", Mode::kProb},
+             {"budget", Mode::kBudget}})
+        .u64("n", &FaultSpec::n, 0, ~std::uint64_t{0})
+        .dbl("p", &FaultSpec::p, 0.0, 1.0)
+        .u64("seed", &FaultSpec::seed, 0, ~std::uint64_t{0})
+        .u64("budget", &FaultSpec::budget_bytes, 0, ~std::uint64_t{0})
+        .check([](const FaultSpec& f) {
+          if (f.mode == Mode::kNth && f.n == 0) {
+            throw ConfigError(ConfigError::Kind::kOutOfRange, "n",
+                              "config field 'n': mode=nth needs n >= 1");
+          }
+        });
+    return s;
+  }();
+  return schema;
 }
 
 FaultInjector::FaultInjector(std::unique_ptr<MemoryManager> inner,
@@ -129,12 +69,7 @@ bool FaultInjector::should_fail(std::uint64_t call_idx, std::size_t size) {
   return false;
 }
 
-void FaultInjector::delay(gpu::ThreadCtx& ctx) {
-  for (std::uint32_t i = 0; i < spec_.delay; ++i) ctx.backoff();
-}
-
 void* FaultInjector::malloc(gpu::ThreadCtx& ctx, std::size_t size) {
-  delay(ctx);
   const std::uint64_t idx = calls_.fetch_add(1, std::memory_order_relaxed);
   if (should_fail(idx, size)) {
     injected_.fetch_add(1, std::memory_order_relaxed);
@@ -148,7 +83,6 @@ void* FaultInjector::malloc(gpu::ThreadCtx& ctx, std::size_t size) {
 }
 
 void* FaultInjector::warp_malloc(gpu::ThreadCtx& ctx, std::size_t size) {
-  delay(ctx);
   // The decision must be warp-uniform: if one lane bailed with nullptr while
   // its siblings entered a cooperative inner warp_malloc, the inner leader
   // vote would wait forever. One counter tick per group, leader decides,
@@ -171,7 +105,6 @@ void* FaultInjector::warp_malloc(gpu::ThreadCtx& ctx, std::size_t size) {
 }
 
 void FaultInjector::free(gpu::ThreadCtx& ctx, void* ptr) {
-  delay(ctx);
   inner_->free(ctx, ptr);
 }
 

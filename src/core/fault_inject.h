@@ -3,20 +3,23 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "core/memory_manager.h"
 
 namespace gms::core {
 
-/// Parsed form of a `--fault=` spec. Three deterministic schedules:
-///   "nth:N"        every Nth malloc (1-based) returns nullptr
-///   "prob:P[:S]"   each malloc fails with probability P, hashed from the
-///                  global call index and seed S — reproducible, not random
-///   "budget:B"     mallocs fail once B bytes were handed out cumulatively
-/// Any schedule takes an optional ",delay=K" suffix: every malloc/free also
-/// spins K extra backoff() rounds, widening lock-hold and retry windows to
-/// shake out interleavings a quiet host run never hits.
+template <typename C>
+class ConfigSchema;
+
+/// Knobs of a "fault" stack stage ("fault{mode=nth,n=7}"). Three
+/// deterministic schedules:
+///   mode=nth,n=N          every Nth malloc (1-based) returns nullptr
+///   mode=prob,p=P,seed=S  each malloc fails with probability P, hashed from
+///                         the global call index and seed S — reproducible,
+///                         not random
+///   mode=budget,budget=B  mallocs fail once B bytes were handed out
+///                         cumulatively
+/// The default, mode=none, is a pass-through injector.
 struct FaultSpec {
   enum class Mode : std::uint8_t { kNone, kNth, kProb, kBudget };
   Mode mode = Mode::kNone;
@@ -24,13 +27,9 @@ struct FaultSpec {
   double p = 0.0;                 ///< kProb probability
   std::uint64_t seed = 1;         ///< kProb hash seed
   std::uint64_t budget_bytes = 0; ///< kBudget cumulative allowance
-  std::uint32_t delay = 0;        ///< extra backoff() rounds per call
 
-  /// Parses e.g. "nth:7", "prob:0.05:42,delay=3", "budget:1048576".
-  /// Throws std::invalid_argument on malformed input.
-  static FaultSpec parse(std::string_view spec);
-
-  [[nodiscard]] std::string to_string() const;
+  /// Keys mode|n|p|seed|budget; mode=nth needs n >= 1.
+  static const ConfigSchema<FaultSpec>& config_schema();
 };
 
 /// Decorator that forces the inner allocator's OOM path on a deterministic
@@ -70,7 +69,6 @@ class FaultInjector final : public MemoryManager {
  private:
   /// True when the call with this global index / size must fail.
   [[nodiscard]] bool should_fail(std::uint64_t call_idx, std::size_t size);
-  void delay(gpu::ThreadCtx& ctx);
 
   std::string name_;  ///< backs traits_.name ("<inner>+F")
   AllocatorTraits traits_{};

@@ -1,81 +1,24 @@
 #include "core/resilience.h"
 
-#include <charconv>
-#include <stdexcept>
+#include <limits>
+
+#include "core/alloc_config.h"
 
 namespace gms::core {
 
-namespace {
-
-std::uint64_t parse_u64(std::string_view key, std::string_view val) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(val.data(), val.data() + val.size(), out);
-  if (ec != std::errc{} || ptr != val.data() + val.size()) {
-    throw std::invalid_argument{"bad resilience value for " + std::string(key) +
-                                ": \"" + std::string(val) + "\""};
-  }
-  return out;
-}
-
-}  // namespace
-
-ResilienceSpec ResilienceSpec::parse(std::string_view spec) {
-  ResilienceSpec out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    auto comma = spec.find(',', pos);
-    if (comma == std::string_view::npos) comma = spec.size();
-    const auto tok = spec.substr(pos, comma - pos);
-    const auto eq = tok.find('=');
-    if (eq == std::string_view::npos || eq == 0 || eq + 1 >= tok.size()) {
-      throw std::invalid_argument{"bad resilience token: \"" +
-                                  std::string(tok) +
-                                  "\" (expected key=value)"};
-    }
-    const auto key = tok.substr(0, eq);
-    const auto val = tok.substr(eq + 1);
-    if (key == "retries") {
-      out.retries = static_cast<unsigned>(parse_u64(key, val));
-    } else if (key == "backoff") {
-      out.backoff_base = static_cast<std::uint32_t>(parse_u64(key, val));
-      if (out.backoff_base == 0) {
-        throw std::invalid_argument{"resilience backoff must be >= 1"};
-      }
-    } else if (key == "seed") {
-      out.seed = parse_u64(key, val);
-    } else if (key == "reserve") {
-      out.reserve_percent = static_cast<unsigned>(parse_u64(key, val));
-      if (out.reserve_percent == 0 || out.reserve_percent > 50) {
-        throw std::invalid_argument{"resilience reserve percent out of (0,50]"};
-      }
-    } else if (key == "breaker") {
-      out.breaker_threshold = static_cast<unsigned>(parse_u64(key, val));
-      if (out.breaker_threshold == 0) {
-        throw std::invalid_argument{"resilience breaker threshold must be >= 1"};
-      }
-    } else if (key == "decay") {
-      out.breaker_decay = parse_u64(key, val);
-      if (out.breaker_decay == 0) {
-        throw std::invalid_argument{"resilience decay must be >= 1"};
-      }
-    } else {
-      throw std::invalid_argument{
-          "unknown resilience key: \"" + std::string(key) +
-          "\" (expected retries|backoff|seed|reserve|breaker|decay)"};
-    }
-    pos = comma + 1;
-  }
-  return out;
-}
-
-std::string ResilienceSpec::to_string() const {
-  return "retries=" + std::to_string(retries) +
-         ",backoff=" + std::to_string(backoff_base) +
-         ",seed=" + std::to_string(seed) +
-         ",reserve=" + std::to_string(reserve_percent) +
-         ",breaker=" + std::to_string(breaker_threshold) +
-         ",decay=" + std::to_string(breaker_decay);
+const ConfigSchema<ResilienceSpec>& ResilienceSpec::config_schema() {
+  static const auto schema = [] {
+    constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+    ConfigSchema<ResilienceSpec> s;
+    s.u64("retries", &ResilienceSpec::retries, 0, kU32)
+        .u64("backoff", &ResilienceSpec::backoff_base, 1, kU32)
+        .u64("seed", &ResilienceSpec::seed, 0, ~std::uint64_t{0})
+        .u64("reserve", &ResilienceSpec::reserve_percent, 1, 50)
+        .u64("breaker", &ResilienceSpec::breaker_threshold, 1, kU32)
+        .u64("decay", &ResilienceSpec::breaker_decay, 1, ~std::uint64_t{0});
+    return s;
+  }();
+  return schema;
 }
 
 std::string ResilienceReport::to_string() const {

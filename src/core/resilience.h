@@ -3,17 +3,20 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "gpu/thread_ctx.h"
 
 namespace gms::core {
 
-/// Parsed form of a `--resilience=` spec: the policy knobs of the "+R"
-/// failure-recovery layer (alloc_core::ResilientManager). Every knob is
-/// deterministic — retry backoff is a seeded hash of (lane, attempt), the
-/// circuit breaker counts calls rather than wall clock — so a recorded trace
-/// replays to the same escalation decisions.
+template <typename C>
+class ConfigSchema;
+
+/// Knobs of a "resilient" stack stage ("resilient{retries=2,reserve=10}"):
+/// the policy of the "+R" failure-recovery layer
+/// (alloc_core::ResilientManager). Every knob is deterministic — retry
+/// backoff is a seeded hash of (lane, attempt), the circuit breaker counts
+/// calls rather than wall clock — so a recorded trace replays to the same
+/// escalation decisions.
 struct ResilienceSpec {
   /// Extra in-kernel malloc attempts after the first failure, each preceded
   /// by a deterministic per-lane backoff. 0 disables retry (straight to the
@@ -35,11 +38,8 @@ struct ResilienceSpec {
   /// the breaker. Count-based, never wall clock, so replays agree.
   std::uint64_t breaker_decay = 256;
 
-  /// Parses e.g. "retries=2,reserve=10,breaker=8,decay=64,backoff=4,seed=7".
-  /// Unknown keys throw std::invalid_argument; omitted keys keep defaults.
-  static ResilienceSpec parse(std::string_view spec);
-
-  [[nodiscard]] std::string to_string() const;
+  /// Keys retries|backoff|seed|reserve|breaker|decay.
+  static const ConfigSchema<ResilienceSpec>& config_schema();
 };
 
 /// One step of the recovery escalation chain, reported through the

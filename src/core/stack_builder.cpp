@@ -4,6 +4,8 @@
 // visible from there without a dependency cycle.
 #include "core/stack_builder.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "alloc_core/resilient_manager.h"
@@ -19,8 +21,6 @@ namespace {
 
 constexpr std::string_view kStageNames[] = {"trace", "fault", "validate",
                                             "warpagg", "resilient"};
-constexpr std::uint8_t kNumStages =
-    static_cast<std::uint8_t>(std::size(kStageNames));
 
 /// ResilienceObserver that forwards "+R" escalations into the stack's
 /// TraceRecorder as recovery-marker events — the bridge the alloc_core
@@ -154,6 +154,21 @@ class RecorderHostSink final : public hostalloc::HostPlacementObserver {
   trace::TraceRecorder& rec_;
 };
 
+/// The typed knobs of one stage token: `overrides` applied over the
+/// stage's defaults through its schema (throws ConfigError).
+template <typename Spec>
+Spec stage_spec(const ConfigKV& overrides) {
+  return Spec::config_schema().parse(overrides, Spec{});
+}
+
+/// trace and validate have no knobs: any override is a typed error.
+void reject_config(StackSpec::Stage stage, const ConfigKV& overrides) {
+  if (overrides.empty()) return;
+  const std::string name(StackSpec::stage_name(stage));
+  throw ConfigError(ConfigError::Kind::kNotConfigurable, name,
+                    "stack stage '" + name + "' takes no config overrides");
+}
+
 }  // namespace
 
 std::string_view StackSpec::stage_name(Stage s) {
@@ -161,17 +176,18 @@ std::string_view StackSpec::stage_name(Stage s) {
 }
 
 bool StackSpec::has(Stage s) const {
-  for (Stage st : stages) {
-    if (st == s) return true;
+  for (const Layer& l : stages) {
+    if (l.stage == s) return true;
   }
   return false;
 }
 
 std::string StackSpec::to_string() const {
   std::string out;
-  for (Stage s : stages) {
-    out += std::string(stage_name(s)) + ">";
+  for (const Layer& l : stages) {
+    out += std::string(stage_name(l.stage)) + format_config(l.config) + ">";
   }
+  if (base.empty() && !out.empty()) out.pop_back();  // stage-only spec
   return out + base + format_config(base_config);
 }
 
@@ -187,28 +203,31 @@ StackSpec StackSpec::parse(std::string_view spec) {
       throw std::invalid_argument{"empty token in stack spec: \"" +
                                   std::string(spec) + "\""};
     }
-    bool is_stage = false;
-    for (std::uint8_t i = 0; i < kNumStages; ++i) {
-      if (tok == kStageNames[i]) {
-        const auto stage = static_cast<Stage>(i);
-        if (out.has(stage)) {
-          throw std::invalid_argument{"duplicate stack stage: " +
-                                      std::string(tok)};
-        }
-        out.stages.push_back(stage);
-        is_stage = true;
-        break;
+    const auto [name, braced] = split_config_suffix(tok);
+    const auto* stage_it = std::find(std::begin(kStageNames),
+                                     std::end(kStageNames), name);
+    if (stage_it != std::end(kStageNames)) {
+      const auto stage =
+          static_cast<Stage>(stage_it - std::begin(kStageNames));
+      if (out.has(stage)) {
+        throw std::invalid_argument{"duplicate stack stage: " +
+                                    std::string(name)};
       }
-    }
-    if (!is_stage) {
+      out.stages.push_back({stage, parse_config_overrides(braced)});
+      // Validate now: a bad knob fails the parse, not a later build.
+      if (stage == Stage::kTrace) {
+        reject_config(stage, out.stages.back().config);
+      } else {
+        (void)StackBuilder::stage_factory(stage, {}, out.stages.back().config);
+      }
+    } else {
       if (!last) {
         throw std::invalid_argument{
             "unknown stack stage: " + std::string(tok) +
             " (expected trace|fault|validate|warpagg|resilient)"};
       }
-      const auto [name, braced] = split_config_suffix(tok);
       out.base = std::string(name);
-      if (!braced.empty()) out.base_config = parse_config_overrides(braced);
+      out.base_config = parse_config_overrides(braced);
     }
     if (last) break;
     pos = gt + 1;
@@ -217,34 +236,35 @@ StackSpec StackSpec::parse(std::string_view spec) {
 }
 
 ManagerFactory StackBuilder::stage_factory(StackSpec::Stage stage,
-                                           ManagerFactory base, FaultSpec fault,
-                                           ResilienceSpec resilience,
-                                           WarpAggSpec warpagg) {
+                                           ManagerFactory base,
+                                           const ConfigKV& config) {
   switch (stage) {
     case StackSpec::Stage::kResilient:
-      return [base = std::move(base), resilience](gpu::Device& dev,
-                                                  std::size_t heap) {
+      return [base = std::move(base),
+              spec = stage_spec<ResilienceSpec>(config)](gpu::Device& dev,
+                                                         std::size_t heap) {
         return std::unique_ptr<MemoryManager>(
             std::make_unique<alloc_core::ResilientManager>(dev, heap, base,
-                                                           resilience));
+                                                           spec));
       };
     case StackSpec::Stage::kValidate:
+      reject_config(stage, config);
       return [base = std::move(base)](gpu::Device& dev, std::size_t heap) {
         return std::unique_ptr<MemoryManager>(
             std::make_unique<ValidatingManager>(dev, heap, base));
       };
     case StackSpec::Stage::kFault:
-      return [base = std::move(base), fault](gpu::Device& dev,
-                                             std::size_t heap) {
+      return [base = std::move(base), spec = stage_spec<FaultSpec>(config)](
+                 gpu::Device& dev, std::size_t heap) {
         return std::unique_ptr<MemoryManager>(
-            std::make_unique<FaultInjector>(base(dev, heap), fault));
+            std::make_unique<FaultInjector>(base(dev, heap), spec));
       };
     case StackSpec::Stage::kWarpAgg:
-      return [base = std::move(base), warpagg](gpu::Device& dev,
-                                               std::size_t heap) {
+      return [base = std::move(base), spec = stage_spec<WarpAggSpec>(config)](
+                 gpu::Device& dev, std::size_t heap) {
         return std::unique_ptr<MemoryManager>(
             std::make_unique<alloc_core::WarpAggregator>(base(dev, heap),
-                                                         warpagg, dev));
+                                                         spec, dev));
       };
     case StackSpec::Stage::kTrace:
       break;
@@ -287,7 +307,8 @@ BuiltStack StackBuilder::build(const StackSpec& spec,
     f = entry->config->configured_factory(spec.base_config);
   }
   for (auto it = spec.stages.rbegin(); it != spec.stages.rend(); ++it) {
-    if (*it == StackSpec::Stage::kTrace) {
+    if (it->stage == StackSpec::Stage::kTrace) {
+      reject_config(it->stage, it->config);
       f = [inner = std::move(f), rec = out.recorder.get()](
               gpu::Device& dev, std::size_t heap) {
         return std::unique_ptr<MemoryManager>(
@@ -295,7 +316,7 @@ BuiltStack StackBuilder::build(const StackSpec& spec,
                                                     dev.arena()));
       };
     } else {
-      f = stage_factory(*it, std::move(f), fault_, resilience_, warpagg_);
+      f = stage_factory(it->stage, std::move(f), it->config);
     }
   }
 

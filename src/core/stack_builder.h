@@ -33,7 +33,11 @@ class ValidatingManager;
 
 /// Parsed form of a manager-stack spec: decorator stages outermost-first,
 /// then the base allocator's registry name — "trace>fault>validate>Halloc"
-/// builds TracingManager(FaultInjector(ValidatingManager(Halloc))).
+/// builds TracingManager(FaultInjector(ValidatingManager(Halloc))). Every
+/// token takes the same "{k=v,...}" suffix: on a stage it sets that stage's
+/// knobs ("resilient{retries=2}>fault{mode=nth,n=7}>Halloc"), on the base
+/// the manager's Config ("Halloc{slab_bytes=2097152}"). The string is the
+/// whole configuration of a stack.
 struct StackSpec {
   enum class Stage : std::uint8_t {
     kTrace,
@@ -43,7 +47,15 @@ struct StackSpec {
     kResilient,
   };
 
-  std::vector<Stage> stages;  ///< outermost first, as written
+  /// One stage token: the stage and its overrides as written (empty = the
+  /// stage's defaults). fault, resilient and warpagg take the keys of
+  /// FaultSpec, ResilienceSpec and WarpAggSpec; trace and validate take none.
+  struct Layer {
+    Stage stage;
+    ConfigKV config;
+  };
+
+  std::vector<Layer> stages;  ///< outermost first, as written
   std::string base;           ///< registry name; empty for a stage-only spec
   /// Config overrides split off the base token ("validate>Halloc{slab_bytes=
   /// 2097152}"): applied over the registry entry's default Config when the
@@ -52,17 +64,17 @@ struct StackSpec {
   ConfigKV base_config;
 
   /// Stage tokens: "trace", "fault", "validate", "warpagg", "resilient".
-  /// The last
-  /// '>'-separated token that is not a stage name becomes the base (an
-  /// optional "{k=v,...}" suffix on it parses into base_config); a spec
-  /// of stages only ("trace>validate") leaves base empty so one --stack
-  /// stage list can apply across a whole -t selection. Throws
-  /// std::invalid_argument on unknown stages, duplicates, or empty tokens,
-  /// and ConfigError on a malformed "{...}" suffix.
+  /// The last '>'-separated token that is not a stage name becomes the
+  /// base; a spec of stages only ("trace>validate") leaves base empty so
+  /// one --stack stage list can apply across a whole -t selection. Stage
+  /// overrides are validated here, eagerly. Throws std::invalid_argument on
+  /// unknown stages, duplicates, or empty tokens, and ConfigError (naming
+  /// the field) on a malformed or rejected "{...}" suffix.
   static StackSpec parse(std::string_view spec);
 
   static std::string_view stage_name(Stage s);
   [[nodiscard]] bool has(Stage s) const;
+  /// Inverse of parse(): every token with its overrides as written.
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -99,26 +111,6 @@ class StackBuilder {
  public:
   explicit StackBuilder(gpu::Device& dev) : dev_(&dev) {}
 
-  /// Configuration consumed by a "fault" stage (ignored without one). The
-  /// default FaultSpec{} is mode kNone: a pass-through injector.
-  StackBuilder& fault(const FaultSpec& spec) {
-    fault_ = spec;
-    return *this;
-  }
-
-  /// Policy knobs consumed by a "resilient" stage (ignored without one).
-  StackBuilder& resilience(const ResilienceSpec& spec) {
-    resilience_ = spec;
-    return *this;
-  }
-
-  /// Policy knobs consumed by a "warpagg" stage (ignored without one). The
-  /// default WarpAggSpec{} is the adaptive policy with stock thresholds.
-  StackBuilder& warpagg(const WarpAggSpec& spec) {
-    warpagg_ = spec;
-    return *this;
-  }
-
   /// Builds the stack over a freshly cleared arena (Registry::make
   /// semantics: throws on unknown base or a heap larger than the arena).
   [[nodiscard]] BuiltStack build(const StackSpec& spec,
@@ -126,20 +118,17 @@ class StackBuilder {
   [[nodiscard]] BuiltStack build(std::string_view spec,
                                  std::size_t heap_bytes) const;
 
-  /// Factory wrapping `base` in one stage — the registry's twin-registration
-  /// hook, so "+V"/"+W" twins and --stack specs share the same wiring. The
-  /// trace stage needs a live recorder and cannot be a standalone factory;
-  /// passing kTrace throws std::invalid_argument.
+  /// Factory wrapping `base` in one stage configured by `config` (the
+  /// stage's "{k=v}" overrides, validated eagerly) — the registry's
+  /// twin-registration hook, so "+V"/"+W" twins and --stack specs share the
+  /// same wiring. The trace stage needs a live recorder and cannot be a
+  /// standalone factory; passing kTrace throws std::invalid_argument.
   static ManagerFactory stage_factory(StackSpec::Stage stage,
-                                      ManagerFactory base, FaultSpec fault = {},
-                                      ResilienceSpec resilience = {},
-                                      WarpAggSpec warpagg = {});
+                                      ManagerFactory base,
+                                      const ConfigKV& config = {});
 
  private:
   gpu::Device* dev_;
-  FaultSpec fault_{};
-  ResilienceSpec resilience_{};
-  WarpAggSpec warpagg_{};
 };
 
 }  // namespace gms::core

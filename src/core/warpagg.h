@@ -2,27 +2,26 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "gpu/thread_ctx.h"
 
 namespace gms::core {
 
-/// Parsed form of a `--warpagg=` spec: the policy knobs of the adaptive "+W"
-/// warp-aggregation layer (alloc_core::WarpAggregator). The cost sampler
+template <typename C>
+class ConfigSchema;
+
+/// Knobs of a "warpagg" stack stage ("warpagg{slab=16}"): the policy of the
+/// adaptive "+W" warp-aggregation layer (alloc_core::WarpAggregator). Sites
+/// start on the per-lane passthrough path and switch to the aggregated path
+/// only when the sampled contention EMA crosses `enter_cost` (back below
+/// `exit_cost` switches out — hysteresis, so decisions don't flap). An
+/// explicit warp_malloc always takes the aggregated path. The cost sampler
 /// reads per-SM instrumentation counters (device atomics, CAS retries,
 /// backoffs), never wall clock. At 1 SM those counters are exact, so a
 /// recorded trace replays to the same per-site mode decisions; at 2 or more
 /// SMs a lane spinning on a lock held by another SM counts backoffs for as
 /// long as the holder's host thread takes, so decisions can vary run to run.
 struct WarpAggSpec {
-  /// kAdaptive: per-(SM, size-class) sites start on the per-lane passthrough
-  /// path and switch to the aggregated path only when the sampled contention
-  /// EMA crosses `enter_cost` (back below `exit_cost` switches out —
-  /// hysteresis, so decisions don't flap). kAlways pins the aggregated path.
-  enum class Policy : std::uint8_t { kAdaptive, kAlways };
-
-  Policy policy = Policy::kAdaptive;
   /// Cost of one sampled inner malloc: the per-SM delta of
   /// `atomic_total + cas_failed + 4 * backoffs` across the call — device
   /// work plus contention. Lock serialisation (the CUDA stand-in's
@@ -62,13 +61,8 @@ struct WarpAggSpec {
   /// Power of two, KiB.
   std::uint32_t slab_kb = 64;
 
-  /// Parses e.g. "adaptive,enter=8,exit=2,dwell=8,sample=4,probe=32,slab=64"
-  /// (the leading policy token is optional and may appear alone: "always").
-  /// Unknown keys/policies throw std::invalid_argument; omitted keys keep
-  /// defaults.
-  static WarpAggSpec parse(std::string_view spec);
-
-  [[nodiscard]] std::string to_string() const;
+  /// Keys enter|exit|dwell|sample|probe|slab; exit must stay below enter.
+  static const ConfigSchema<WarpAggSpec>& config_schema();
 };
 
 /// One adaptive-aggregation event, reported through the AggregationObserver

@@ -139,6 +139,12 @@ TEST(ConfigSchemaTest, TypedRejections) {
   expect_config_error(
       [&] { (void)schema.parse({{"page_size", "fast"}}, defaults); },
       Kind::kBadValue, "page_size");
+  // Integers are plain decimal: a base prefix, sign or space is no number.
+  for (const char* v : {"0x2000", "+8192", " 8192", "-1"}) {
+    expect_config_error(
+        [&] { (void)schema.parse({{"page_size", v}}, defaults); },
+        Kind::kBadValue, "page_size");
+  }
   expect_config_error(
       [&] { (void)schema.parse({{"page_size", "256"}}, defaults); },
       Kind::kOutOfRange, "page_size");

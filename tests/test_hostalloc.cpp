@@ -413,9 +413,8 @@ TEST(StreamPool, ExhaustionBeforeSyncUnderFaultInjection) {
   Device dev(8u << 20, GpuConfig{.num_sms = 2});
   // Every 3rd malloc fails by injection on top of genuine pool exhaustion;
   // the pool must stay byte-exact through both failure sources.
-  auto stack = core::StackBuilder(dev)
-                   .fault(core::FaultSpec::parse("nth:3"))
-                   .build("fault>StreamPool", 512u << 10);
+  auto stack = core::StackBuilder(dev).build("fault{mode=nth,n=3}>StreamPool",
+                                            512u << 10);
   ASSERT_NE(stack.injector, nullptr);
   ASSERT_NE(stack.host, nullptr);
   auto* pool = dynamic_cast<hostalloc::StreamPool*>(stack.host);

@@ -52,12 +52,10 @@ struct ChurnRun {
 /// a hostile injector, so the recovery chain fires constantly.
 ChurnRun churn_under_faults(std::uint64_t seed) {
   Device dev(kArenaBytes, GpuConfig{.num_sms = 2});
-  core::ResilienceSpec rspec;
-  rspec.seed = seed;
-  auto stack = core::StackBuilder(dev)
-                   .fault(core::FaultSpec::parse("nth:7"))
-                   .resilience(rspec)
-                   .build("trace>resilient>fault>ScatterAlloc", kHeapBytes);
+  auto stack = core::StackBuilder(dev).build(
+      "trace>resilient{seed=" + std::to_string(seed) +
+          "}>fault{mode=nth,n=7}>ScatterAlloc",
+      kHeapBytes);
   stack.recorder->set_enabled(true);
 
   constexpr std::size_t kThreads = 256;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_core/resilient_manager.h"
 #include "alloc_core/warp_aggregator.h"
 #include "core/fault_inject.h"
 #include "core/registry.h"
@@ -45,15 +46,15 @@ const RegisterAllocators register_allocators;
 
 /// Small malloc/free churn respecting the base's capability traits, so the
 /// same driver works for warp-scoped (FDGMalloc) and free-less (Atomic)
-/// managers.
+/// managers. `warp` allocates through warp_malloc for every base.
 void churn(Device& dev, core::MemoryManager& mgr,
-           const core::AllocatorTraits& base) {
+           const core::AllocatorTraits& base, bool warp = false) {
   constexpr std::size_t kThreads = 256;
   std::vector<void*> ptrs(kThreads, nullptr);
   dev.launch_n(kThreads, [&](ThreadCtx& t) {
     const std::size_t size = 16 + (t.thread_rank() % 7) * 16;
-    void* p = base.warp_level_only ? mgr.warp_malloc(t, size)
-                                   : mgr.malloc(t, size);
+    void* p = warp || base.warp_level_only ? mgr.warp_malloc(t, size)
+                                           : mgr.malloc(t, size);
     if (p != nullptr) *static_cast<std::uint8_t*>(p) = 1;
     ptrs[t.thread_rank()] = p;
   });
@@ -98,9 +99,8 @@ TEST_P(StackCompositionTest, ValidateStack) {
 
 TEST_P(StackCompositionTest, FaultValidateStack) {
   Device dev(kArenaBytes, GpuConfig{.num_sms = kNumSms});
-  auto stack = StackBuilder(dev)
-                   .fault(core::FaultSpec::parse("nth:5"))
-                   .build("fault>validate>" + GetParam(), kHeapBytes);
+  auto stack = StackBuilder(dev).build(
+      "fault{mode=nth,n=5}>validate>" + GetParam(), kHeapBytes);
   ASSERT_NE(stack.validator, nullptr);
   ASSERT_NE(stack.injector, nullptr);
   EXPECT_TRUE(stack.manager->traits().decorated);
@@ -149,17 +149,16 @@ TEST_P(StackCompositionTest, WarpAggStack) {
     GTEST_SKIP() << GetParam() << " is not general purpose";
   }
   Device dev(kArenaBytes, GpuConfig{.num_sms = kNumSms});
-  // Pin the aggregated path: the adaptive default would keep an uncontended
-  // churn on passthrough (that regime has its own tests in test_warpagg).
-  auto stack = StackBuilder(dev)
-                   .warpagg(core::WarpAggSpec::parse("always"))
-                   .build("warpagg>" + GetParam(), kHeapBytes);
+  auto stack = StackBuilder(dev).build("warpagg>" + GetParam(), kHeapBytes);
   ASSERT_NE(stack.aggregator, nullptr);
   EXPECT_EQ(stack.validator, nullptr);
   EXPECT_TRUE(stack.manager->traits().decorated);
   EXPECT_EQ(stack.name, GetParam() + "+W");
 
-  churn(dev, *stack.manager, base().traits);
+  // Pin the aggregated path through warp_malloc: the adaptive malloc would
+  // keep an uncontended churn on passthrough (that regime has its own tests
+  // in test_warpagg).
+  churn(dev, *stack.manager, base().traits, /*warp=*/true);
   const auto report = stack.aggregator->report();
   if (stack.aggregator->inner().traits().max_direct_size >= 32u * 1024) {
     // Slab-capable inner: whole warps allocating together must have been
@@ -244,9 +243,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(StackSpecTest, ParsesStagesOutermostFirstAndBase) {
   const auto spec = StackSpec::parse("trace>fault>validate>Halloc");
   ASSERT_EQ(spec.stages.size(), 3u);
-  EXPECT_EQ(spec.stages[0], StackSpec::Stage::kTrace);
-  EXPECT_EQ(spec.stages[1], StackSpec::Stage::kFault);
-  EXPECT_EQ(spec.stages[2], StackSpec::Stage::kValidate);
+  EXPECT_EQ(spec.stages[0].stage, StackSpec::Stage::kTrace);
+  EXPECT_EQ(spec.stages[1].stage, StackSpec::Stage::kFault);
+  EXPECT_EQ(spec.stages[2].stage, StackSpec::Stage::kValidate);
   EXPECT_EQ(spec.base, "Halloc");
   EXPECT_EQ(spec.to_string(), "trace>fault>validate>Halloc");
 }
@@ -255,6 +254,7 @@ TEST(StackSpecTest, StageOnlySpecLeavesBaseEmpty) {
   const auto spec = StackSpec::parse("trace>validate");
   EXPECT_EQ(spec.stages.size(), 2u);
   EXPECT_TRUE(spec.base.empty());
+  EXPECT_EQ(spec.to_string(), "trace>validate");
 }
 
 TEST(StackSpecTest, BareNameIsABase) {
@@ -271,6 +271,92 @@ TEST(StackSpecTest, RejectsMalformedSpecs) {
   EXPECT_THROW((void)StackSpec::parse("trace>>Halloc"),
                std::invalid_argument);  // empty token
   EXPECT_THROW((void)StackSpec::parse(""), std::invalid_argument);
+}
+
+TEST(StackSpecTest, StageConfigsRoundTrip) {
+  const std::string text =
+      "trace>resilient{retries=2,reserve=10}>fault{mode=nth,n=7}>"
+      "ScatterAlloc{page_size=8192}";
+  const auto spec = StackSpec::parse(text);
+  ASSERT_EQ(spec.stages.size(), 3u);
+  EXPECT_TRUE(spec.stages[0].config.empty());
+  const core::ConfigKV resilient = {{"retries", "2"}, {"reserve", "10"}};
+  const core::ConfigKV fault = {{"mode", "nth"}, {"n", "7"}};
+  EXPECT_EQ(spec.stages[1].config, resilient);
+  EXPECT_EQ(spec.stages[2].config, fault);
+  EXPECT_EQ(spec.base, "ScatterAlloc");
+  EXPECT_EQ(spec.to_string(), text);
+  EXPECT_EQ(StackSpec::parse(spec.to_string()).to_string(), text);
+  // "{}" is an explicit empty override set and serializes away.
+  EXPECT_EQ(StackSpec::parse("validate{}>Halloc").to_string(),
+            "validate>Halloc");
+}
+
+/// The ConfigError a stack spec is rejected with; fails the test when the
+/// spec parses.
+core::ConfigError rejection(const std::string& spec) {
+  try {
+    (void)StackSpec::parse(spec);
+  } catch (const core::ConfigError& e) {
+    return e;
+  }
+  ADD_FAILURE() << spec << " was accepted";
+  return core::ConfigError(core::ConfigError::Kind::kSyntax, "", "");
+}
+
+TEST(StackSpecTest, StageConfigsAreValidatedEagerly) {
+  using Kind = core::ConfigError::Kind;
+  EXPECT_EQ(rejection("trace{depth=1}>Halloc").kind(), Kind::kNotConfigurable);
+  EXPECT_EQ(rejection("validate{x=1}").kind(), Kind::kNotConfigurable);
+  EXPECT_EQ(rejection("validate{x=1}").field(), "validate");
+  EXPECT_EQ(rejection("resilient{reserve=0}").field(), "reserve");
+  EXPECT_EQ(rejection("resilient{reserve=0}").kind(), Kind::kOutOfRange);
+  EXPECT_EQ(rejection("resilient{reserve=51}").kind(), Kind::kOutOfRange);
+  // u32 knobs are bounded at their width: 2^32 + 10 does not wrap to 10.
+  EXPECT_EQ(rejection("resilient{reserve=4294967306}").kind(),
+            Kind::kOutOfRange);
+  EXPECT_EQ(rejection("resilient{retries=4294967296}").kind(),
+            Kind::kOutOfRange);
+  EXPECT_EQ(rejection("resilient{breaker=0}>Halloc").field(), "breaker");
+  EXPECT_EQ(rejection("fault{mode=nth,n=0}").field(), "n");
+  EXPECT_EQ(rejection("warpagg{slab=48}>Halloc").kind(), Kind::kNotPow2);
+}
+
+TEST(StackBuilderTest, StageKnobsReachTheirLayers) {
+  Device dev(kArenaBytes, GpuConfig{.num_sms = kNumSms});
+  auto stack = StackBuilder(dev).build(
+      "warpagg{slab=16}>resilient{retries=1,reserve=20}>"
+      "fault{mode=nth,n=4}>ScatterAlloc",
+      kHeapBytes);
+  ASSERT_NE(stack.aggregator, nullptr);
+  ASSERT_NE(stack.resilient, nullptr);
+  ASSERT_NE(stack.injector, nullptr);
+
+  const core::WarpAggSpec stock_w;
+  const auto& w = stack.aggregator->spec();
+  EXPECT_EQ(w.slab_kb, 16u);
+  EXPECT_EQ(w.enter_cost, stock_w.enter_cost);
+  EXPECT_EQ(w.exit_cost, stock_w.exit_cost);
+  EXPECT_EQ(w.dwell, stock_w.dwell);
+  EXPECT_EQ(w.sample_every, stock_w.sample_every);
+  EXPECT_EQ(w.probe_every, stock_w.probe_every);
+
+  const core::ResilienceSpec stock_r;
+  const auto& r = stack.resilient->spec();
+  EXPECT_EQ(r.retries, 1u);
+  EXPECT_EQ(r.reserve_percent, 20u);
+  EXPECT_EQ(r.backoff_base, stock_r.backoff_base);
+  EXPECT_EQ(r.seed, stock_r.seed);
+  EXPECT_EQ(r.breaker_threshold, stock_r.breaker_threshold);
+  EXPECT_EQ(r.breaker_decay, stock_r.breaker_decay);
+
+  const auto& f = stack.injector->spec();
+  EXPECT_EQ(f.mode, core::FaultSpec::Mode::kNth);
+  EXPECT_EQ(f.n, 4u);
+
+  churn(dev, *stack.manager,
+        core::Registry::instance().find("ScatterAlloc")->traits);
+  EXPECT_EQ(stack.injector->injected_failures(), stack.injector->calls() / 4);
 }
 
 TEST(StackBuilderTest, UnknownBaseThrows) {

@@ -15,6 +15,7 @@
 #include "core/error_sink.h"
 #include "core/fault_inject.h"
 #include "core/registry.h"
+#include "core/stack_builder.h"
 #include "core/utils.h"
 #include "core/validating_manager.h"
 #include "gpu/device.h"
@@ -154,7 +155,7 @@ std::unique_ptr<core::MemoryManager> make_inner(Device& d,
 
 TEST(FaultInjector, NthScheduleInjectsExactCount) {
   Device small(16u << 20, GpuConfig{.num_sms = 2});
-  FaultInjector inj(make_inner(small, "Atomic"), FaultSpec::parse("nth:4"));
+  FaultInjector inj(make_inner(small, "Atomic"), FaultSpec{.mode = FaultSpec::Mode::kNth, .n = 4});
   small.launch_n(256, [&](ThreadCtx& t) {
     for (int i = 0; i < 4; ++i) (void)inj.malloc(t, 16);
   });
@@ -166,7 +167,8 @@ TEST(FaultInjector, NthScheduleInjectsExactCount) {
 TEST(FaultInjector, BudgetScheduleCutsOffAfterAllowance) {
   Device small(16u << 20, GpuConfig{.num_sms = 2});
   FaultInjector inj(make_inner(small, "Atomic"),
-                    FaultSpec::parse("budget:4096"));
+                    FaultSpec{.mode = FaultSpec::Mode::kBudget,
+                              .budget_bytes = 4096});
   small.launch(1, 1, [&](ThreadCtx& t) {
     for (int i = 0; i < 512; ++i) (void)inj.malloc(t, 16);
   });
@@ -179,7 +181,9 @@ TEST(FaultInjector, ProbScheduleIsSeedReproducible) {
   auto run = [] {
     Device small(16u << 20, GpuConfig{.num_sms = 2});
     FaultInjector inj(make_inner(small, "Atomic"),
-                      FaultSpec::parse("prob:0.25:42"));
+                      FaultSpec{.mode = FaultSpec::Mode::kProb,
+                                .p = 0.25,
+                                .seed = 42});
     small.launch_n(256, [&](ThreadCtx& t) {
       for (int i = 0; i < 8; ++i) (void)inj.malloc(t, 16);
     });
@@ -202,7 +206,9 @@ TEST(FaultInjector, ProbScheduleIsInterleavingInvariant) {
                 unsigned per_thread) {
     Device small(16u << 20, GpuConfig{.num_sms = num_sms});
     FaultInjector inj(make_inner(small, "Atomic"),
-                      FaultSpec::parse("prob:0.2:1337"));
+                      FaultSpec{.mode = FaultSpec::Mode::kProb,
+                                .p = 0.2,
+                                .seed = 1337});
     small.launch(grid, block, [&](ThreadCtx& t) {
       for (unsigned i = 0; i < per_thread; ++i) (void)inj.malloc(t, 16);
     });
@@ -219,33 +225,51 @@ TEST(FaultInjector, ProbScheduleIsInterleavingInvariant) {
   EXPECT_EQ(two_sms, eight_sms);
 }
 
+/// The knobs a "fault{...}" stage token hands the injector, after checking
+/// that the token round-trips through the stack grammar.
+FaultSpec fault_knobs(const std::string& token) {
+  const auto spec = core::StackSpec::parse(token);
+  EXPECT_EQ(spec.to_string(), token);
+  return FaultSpec::config_schema().parse(spec.stages.at(0).config, {});
+}
+
 TEST(FaultSpec, ParsesAndRoundTrips) {
-  const auto nth = FaultSpec::parse("nth:7,delay=3");
+  const auto nth = fault_knobs("fault{mode=nth,n=7}");
   EXPECT_EQ(nth.mode, FaultSpec::Mode::kNth);
   EXPECT_EQ(nth.n, 7u);
-  EXPECT_EQ(nth.delay, 3u);
-  EXPECT_EQ(nth.to_string(), "nth:7,delay=3");
 
-  const auto prob = FaultSpec::parse("prob:0.25:42");
+  const auto prob = fault_knobs("fault{mode=prob,p=0.25,seed=42}");
   EXPECT_EQ(prob.mode, FaultSpec::Mode::kProb);
   EXPECT_DOUBLE_EQ(prob.p, 0.25);
   EXPECT_EQ(prob.seed, 42u);
 
-  const auto budget = FaultSpec::parse("budget:1048576");
+  const auto budget = fault_knobs("fault{mode=budget,budget=1048576}");
   EXPECT_EQ(budget.mode, FaultSpec::Mode::kBudget);
   EXPECT_EQ(budget.budget_bytes, 1048576u);
 
-  EXPECT_EQ(FaultSpec::parse("none").mode, FaultSpec::Mode::kNone);
+  EXPECT_EQ(fault_knobs("fault{mode=none}").mode, FaultSpec::Mode::kNone);
+  EXPECT_EQ(fault_knobs("fault").mode, FaultSpec::Mode::kNone);
 }
 
 TEST(FaultSpec, RejectsMalformedSpecs) {
-  EXPECT_THROW(FaultSpec::parse("bogus"), std::invalid_argument);
-  EXPECT_THROW(FaultSpec::parse("nth:0"), std::invalid_argument);
-  EXPECT_THROW(FaultSpec::parse("nth:x"), std::invalid_argument);
-  EXPECT_THROW(FaultSpec::parse("prob:1.5"), std::invalid_argument);
-  EXPECT_THROW(FaultSpec::parse("prob:-0.1"), std::invalid_argument);
-  EXPECT_THROW(FaultSpec::parse("budget:"), std::invalid_argument);
-  EXPECT_THROW(FaultSpec::parse("nth:4,delayy=2"), std::invalid_argument);
+  using Kind = core::ConfigError::Kind;
+  const auto rejection = [](const std::string& spec) {
+    try {
+      (void)core::StackSpec::parse(spec);
+    } catch (const core::ConfigError& e) {
+      return e.kind();
+    }
+    ADD_FAILURE() << spec << " was accepted";
+    return Kind::kSyntax;
+  };
+  EXPECT_EQ(rejection("fault{mode=bogus}"), Kind::kBadValue);
+  EXPECT_EQ(rejection("fault{mode=nth,n=0}"), Kind::kOutOfRange);
+  EXPECT_EQ(rejection("fault{mode=nth}"), Kind::kOutOfRange);  // no period
+  EXPECT_EQ(rejection("fault{mode=nth,n=x}"), Kind::kBadValue);
+  EXPECT_EQ(rejection("fault{mode=prob,p=1.5}"), Kind::kOutOfRange);
+  EXPECT_EQ(rejection("fault{mode=prob,p=-0.1}"), Kind::kOutOfRange);
+  EXPECT_EQ(rejection("fault{mode=budget,budget=}"), Kind::kSyntax);
+  EXPECT_EQ(rejection("fault{mode=nth,n=4,delayy=2}"), Kind::kUnknownKey);
 }
 
 TEST(ValidatingManager, CudaRotatingChurnStaysInsideItsHeap) {
@@ -283,7 +307,9 @@ TEST_P(ValidatedChurnTest, FaultInjectedChurnStaysClean) {
   auto validated =
       Registry::instance().make(GetParam() + "+V", dev(), kHeapBytes);
   ASSERT_NE(validated, nullptr);
-  FaultInjector mgr(std::move(validated), FaultSpec::parse("prob:0.15:1234"));
+  FaultInjector mgr(std::move(validated), FaultSpec{.mode = FaultSpec::Mode::kProb,
+                                      .p = 0.15,
+                                      .seed = 1234});
 
   std::uint32_t data_errors = 0;
   dev().launch_n(512, [&](ThreadCtx& t) {

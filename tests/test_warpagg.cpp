@@ -156,7 +156,12 @@ struct RecordingObserver final : core::AggregationObserver {
 /// enter and exit land within a few thousand calls, 16 KiB slab window so
 /// refills stay small against the test arenas.
 WarpAggSpec test_spec() {
-  return WarpAggSpec::parse("adaptive,enter=96,exit=80,dwell=4,sample=2,probe=8,slab=16");
+  return WarpAggSpec{.enter_cost = 96,
+                     .exit_cost = 80,
+                     .dwell = 4,
+                     .sample_every = 2,
+                     .probe_every = 8,
+                     .slab_kb = 16};
 }
 
 core::AllocatorTraits stub_traits() {
@@ -178,12 +183,13 @@ std::pair<std::unique_ptr<WarpAggregator>, BumpStub*> make_stack(
 
 /// One malloc/free churn launch: every lane allocates `size` bytes
 /// `rounds` times, writes a rank pattern, frees. Convergent (all 32 lanes
-/// together) — the aggregated path's canonical shape.
+/// together) — the aggregated path's canonical shape, which `warp` pins by
+/// allocating through warp_malloc.
 void churn(Device& dev, core::MemoryManager& mgr, unsigned rounds,
-           std::size_t size = 64) {
-  dev.launch(1, 256, [&mgr, rounds, size](ThreadCtx& ctx) {
+           std::size_t size = 64, bool warp = false) {
+  dev.launch(1, 256, [&mgr, rounds, size, warp](ThreadCtx& ctx) {
     for (unsigned r = 0; r < rounds; ++r) {
-      void* p = mgr.malloc(ctx, size);
+      void* p = warp ? mgr.warp_malloc(ctx, size) : mgr.malloc(ctx, size);
       if (p != nullptr) {
         *static_cast<std::uint32_t*>(p) = ctx.thread_rank();
         mgr.free(ctx, p);
@@ -192,26 +198,50 @@ void churn(Device& dev, core::MemoryManager& mgr, unsigned rounds,
   });
 }
 
-TEST(WarpAggSpecTest, ParseRejectsUnknownKeysAndBadValues) {
-  EXPECT_THROW((void)WarpAggSpec::parse("bogus"), std::invalid_argument);
-  EXPECT_THROW((void)WarpAggSpec::parse("never"), std::invalid_argument);
-  EXPECT_THROW((void)WarpAggSpec::parse("adaptive,vibes=9"),
-               std::invalid_argument);
-  // Hysteresis requires exit < enter for the adaptive policy.
-  EXPECT_THROW((void)WarpAggSpec::parse("adaptive,enter=96,exit=96"),
-               std::invalid_argument);
-  // Slab windows are power-of-two KiB within [4, 262144].
-  EXPECT_THROW((void)WarpAggSpec::parse("slab=48"), std::invalid_argument);
-  EXPECT_THROW((void)WarpAggSpec::parse("slab=2"), std::invalid_argument);
+/// The ConfigError kind a stack spec is rejected with.
+core::ConfigError::Kind rejection(const std::string& spec) {
+  try {
+    (void)core::StackSpec::parse(spec);
+  } catch (const core::ConfigError& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << spec << " was accepted";
+  return core::ConfigError::Kind::kSyntax;
 }
 
-TEST(WarpAggSpecTest, ToStringRoundTrips) {
-  const WarpAggSpec a = test_spec();
-  const WarpAggSpec b = WarpAggSpec::parse(a.to_string());
-  EXPECT_EQ(a.to_string(), b.to_string());
-  EXPECT_EQ(b.enter_cost, 96u);
-  EXPECT_EQ(b.exit_cost, 80u);
-  EXPECT_EQ(WarpAggSpec::parse("always").policy, WarpAggSpec::Policy::kAlways);
+TEST(WarpAggSpecTest, ParseRejectsUnknownKeysAndBadValues) {
+  using Kind = core::ConfigError::Kind;
+  EXPECT_EQ(rejection("warpagg{bogus}"), Kind::kSyntax);
+  EXPECT_EQ(rejection("warpagg{policy=never}"), Kind::kUnknownKey);
+  EXPECT_EQ(rejection("warpagg{vibes=9}>Halloc"), Kind::kUnknownKey);
+  // Hysteresis requires exit < enter.
+  EXPECT_EQ(rejection("warpagg{enter=96,exit=96}"), Kind::kOutOfRange);
+  EXPECT_EQ(rejection("warpagg{exit=96}"), Kind::kOutOfRange);
+  // Slab windows are power-of-two KiB within [4, 262144].
+  EXPECT_EQ(rejection("warpagg{slab=48}"), Kind::kNotPow2);
+  EXPECT_EQ(rejection("warpagg{slab=2}"), Kind::kOutOfRange);
+  EXPECT_EQ(rejection("warpagg{sample=0}"), Kind::kOutOfRange);
+  EXPECT_EQ(rejection("warpagg{probe=0}"), Kind::kOutOfRange);
+  // u32 knobs are bounded at their width: 2^32 + 97 does not wrap to 97.
+  EXPECT_EQ(rejection("warpagg{enter=4294967393}"), Kind::kOutOfRange);
+}
+
+TEST(WarpAggSpecTest, StageTokenRoundTrips) {
+  const std::string text =
+      "warpagg{enter=96,exit=80,dwell=4,sample=2,probe=8,slab=16}>"
+      "ScatterAlloc";
+  const auto spec = core::StackSpec::parse(text);
+  EXPECT_EQ(spec.to_string(), text);
+  ASSERT_EQ(spec.stages.size(), 1u);
+  const auto& schema = WarpAggSpec::config_schema();
+  const WarpAggSpec a = schema.parse(spec.stages[0].config, {});
+  const WarpAggSpec b = test_spec();
+  EXPECT_EQ(schema.serialize(a), schema.serialize(b));
+  EXPECT_EQ(a.enter_cost, 96u);
+  EXPECT_EQ(a.exit_cost, 80u);
+  // The full serialization parses back to itself.
+  EXPECT_EQ(schema.serialize(schema.parse(schema.serialize(a), {})),
+            schema.serialize(a));
 }
 
 // One storm-grade sampled call arms the SM and the site switches to the
@@ -315,12 +345,11 @@ TEST(WarpAggAdaptiveTest, ModeSwitchSequenceIsDeterministic) {
 TEST(WarpAggAdaptiveTest, ReplayDigestIdenticalAndMarkersOutsideDigest) {
   auto run = [](std::vector<trace::TraceEvent>& events) {
     Device dev(72u << 20, GpuConfig{.num_sms = 1});
-    auto stack = core::StackBuilder(dev)
-                     .warpagg(WarpAggSpec::parse("always"))
-                     .build("trace>warpagg>ScatterAlloc", 64u << 20);
+    auto stack =
+        core::StackBuilder(dev).build("trace>warpagg>ScatterAlloc", 64u << 20);
     ASSERT_NE(stack.recorder, nullptr);
     stack.recorder->set_enabled(true);
-    churn(dev, *stack.manager, 8);
+    churn(dev, *stack.manager, 8, 64, /*warp=*/true);
     events = stack.recorder->drain();
   };
   std::vector<trace::TraceEvent> ev1, ev2;
@@ -351,8 +380,7 @@ TEST(WarpAggBulkFreeTest, HeaderFreeSlabsRoundTripWithoutPerPointerFrees) {
   core::AllocatorTraits t = stub_traits();
   t.bulk_free_capable = true;
   t.individual_free = false;
-  auto [agg, stub] =
-      make_stack(dev, WarpAggSpec::parse("always,slab=16"), t);
+  auto [agg, stub] = make_stack(dev, WarpAggSpec{.slab_kb = 16}, t);
 
   constexpr unsigned kThreads = 256;
   std::vector<void*> ptrs(kThreads, nullptr);
@@ -360,7 +388,7 @@ TEST(WarpAggBulkFreeTest, HeaderFreeSlabsRoundTripWithoutPerPointerFrees) {
   dev.launch(1, kThreads, [&](ThreadCtx& ctx) {
     const unsigned r = ctx.thread_rank();
     sizes[r] = 32 + (r % 4) * 32;
-    void* p = agg->malloc(ctx, sizes[r]);
+    void* p = agg->warp_malloc(ctx, sizes[r]);
     ASSERT_NE(p, nullptr);
     *static_cast<std::uint32_t*>(p) = r;
     ptrs[r] = p;
