@@ -129,8 +129,9 @@ struct BenchArgs {
   unsigned devices = 2;
   /// --tenants N: tenant streams (priority = tenant id).
   unsigned tenants = 4;
-  /// --quota SPEC: per-tenant admission defaults + round budget
-  /// ("bytes=N,ops=N,bucket=N,refill=N,budget=N"; parsed by the service).
+  /// --quota '{bytes=N,ops=N,bucket=N,refill=N,budget=N}': per-tenant
+  /// admission defaults + round budget (QuotaSpec's schema; bench_service
+  /// checks it).
   std::string quota;
   /// --shed-policy hash|rr: deterministic tenant→shard placement.
   std::string shed_policy = "hash";
@@ -304,7 +305,7 @@ inline BenchArgs parse_args(int argc, char** argv,
              "--quarantine FILE  --retry-quarantined  --hostile  "
              "--workloads churn,frag,oom  --soak N  --corpus DIR\n"
              "bench_service: --devices N  --tenants N  "
-             "--quota bytes=N,ops=N,bucket=N,refill=N,budget=N  "
+             "--quota \"{bytes=N,ops=N,bucket=N,refill=N,budget=N}\"  "
              "--shed-policy hash|rr\n";
       std::exit(0);
     } else {

@@ -13,16 +13,18 @@
 //      sequence (determinism). The marker log is committed as a .gmtrace
 //      next to the JSON so CI archives the failure story itself.
 //
-// Usage: bench_service [--devices N] [--tenants N] [--quota SPEC]
+// Usage: bench_service [--devices N] [--tenants N] [--quota '{k=v,...}']
 //                      [--shed-policy hash|rr] [--smoke] [--json FILE]
 //                      [--trace FILE.gmtrace] [--iters WAVES] [-t Alloc]
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/alloc_config.h"
 #include "core/json_writer.h"
 #include "service/alloc_service.h"
 #include "trace/trace_format.h"
@@ -44,18 +46,24 @@ double percentile(std::vector<double> v, double p) {
   return v[idx];
 }
 
-ServiceSpec make_spec(const BenchArgs& args, unsigned devices, bool forked) {
+/// What every cell shares. --quota and --shed-policy reach only this bench,
+/// so their half of the CLI contract is checked here, before any cell runs:
+/// one stderr line and exit 2, like parse_args.
+ServiceSpec base_spec(const BenchArgs& args) {
   ServiceSpec spec;
-  spec.num_devices = devices;
   spec.device.stack = args.allocators.empty() ? std::string{"ScatterAlloc"}
                                               : args.allocators.front();
   spec.device.heap_bytes = args.heap_bytes();
   spec.device.num_sms = args.num_sms;
-  spec.device.forked = forked;
   spec.device.batch_deadline_s = args.deadline_s;
-  spec.placement = service::ShardPolicy::parse_kind(args.shed_policy);
-  if (!args.quota.empty()) spec.quota = service::QuotaSpec::parse(args.quota);
-  spec.quarantine = forked;  // fork-contained fallback only in forked mode
+  try {
+    spec.placement = service::ShardPolicy::parse_kind(args.shed_policy);
+    spec.quota = service::QuotaSpec::config_schema().parse(
+        core::parse_config_overrides(args.quota), service::QuotaSpec{});
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
   return spec;
 }
 
@@ -81,11 +89,13 @@ struct CellResult {
   std::uint64_t total_ops = 0;
 };
 
-CellResult run_cell(const BenchArgs& args, unsigned devices, unsigned tenants,
+CellResult run_cell(ServiceSpec spec, unsigned devices, unsigned tenants,
                     unsigned waves, bool forked, bool kill_one,
                     std::uint64_t seed,
                     std::vector<trace::TraceEvent>* events_out) {
-  auto spec = make_spec(args, devices, forked);
+  spec.num_devices = devices;
+  spec.device.forked = forked;
+  spec.quarantine = forked;  // fork-contained fallback only in forked mode
   spec.seed = seed;
   AllocService svc(spec);
   svc.add_default_tenants(tenants);
@@ -108,6 +118,7 @@ CellResult run_cell(const BenchArgs& args, unsigned devices, unsigned tenants,
 
 int run(int argc, char** argv) {
   auto args = parse_args(argc, argv, "ScatterAlloc");
+  const ServiceSpec base = base_spec(args);
   const unsigned waves = args.iters != 0 ? args.iters
                          : args.smoke    ? 8u
                                          : 24u;
@@ -132,7 +143,7 @@ int run(int argc, char** argv) {
                  : std::vector<unsigned>{2, 4, 8};
   for (const auto d : device_counts) {
     for (const auto t : tenant_counts) {
-      const auto cell = run_cell(args, d, t, waves, /*forked=*/false,
+      const auto cell = run_cell(base, d, t, waves, /*forked=*/false,
                                  /*kill_one=*/false, 1, nullptr);
       const auto& rep = cell.report;
       if (!rep.accounted()) {
@@ -171,9 +182,9 @@ int run(int argc, char** argv) {
   const std::uint64_t fo_seed = 7;
   std::vector<trace::TraceEvent> events_a;
   std::vector<trace::TraceEvent> events_b;
-  const auto a = run_cell(args, fo_devices, fo_tenants, waves, /*forked=*/true,
+  const auto a = run_cell(base, fo_devices, fo_tenants, waves, /*forked=*/true,
                           /*kill_one=*/true, fo_seed, &events_a);
-  const auto b = run_cell(args, fo_devices, fo_tenants, waves, /*forked=*/true,
+  const auto b = run_cell(base, fo_devices, fo_tenants, waves, /*forked=*/true,
                           /*kill_one=*/true, fo_seed, &events_b);
 
   int exit_code = 0;

@@ -71,17 +71,12 @@ void ResilientManager::spin_backoff(gpu::ThreadCtx& ctx, unsigned attempt,
   for (; rounds > 0; --rounds) ctx.backoff();
 }
 
-void ResilientManager::observe(gpu::ThreadCtx& ctx, core::EscalationKind kind,
-                               std::uint64_t size, std::uint64_t detail) {
-  if (observer_ != nullptr) observer_->on_escalation(ctx, kind, size, detail);
-}
-
 void* ResilientManager::fallback(gpu::ThreadCtx& ctx, std::size_t size) {
   void* p = reserve_.malloc(ctx, size);
   if (p != nullptr) {
     fallback_allocs_.fetch_add(1, std::memory_order_relaxed);
-    observe(ctx, core::EscalationKind::kFallbackAlloc, size,
-            inner_heap_bytes_ + reserve_.offset_of(p));
+    trace::mark(sink_, ctx, trace::EventKind::kFallbackAlloc, size,
+                inner_heap_bytes_ + reserve_.offset_of(p));
   }
   return p;
 }
@@ -115,13 +110,13 @@ void* ResilientManager::recovering_malloc(gpu::ThreadCtx& ctx,
   if (p != nullptr) {
     if (attempt > 0) {
       retry_successes_.fetch_add(1, std::memory_order_relaxed);
-      observe(ctx, core::EscalationKind::kRetrySuccess, size, attempt);
+      trace::mark(sink_, ctx, trace::EventKind::kRetrySuccess, size, attempt);
     }
     s.consecutive.store(0, std::memory_order_relaxed);
     if (s.open.load(std::memory_order_relaxed) != 0 &&
         s.open.exchange(0, std::memory_order_acq_rel) != 0) {
       breaker_resets_.fetch_add(1, std::memory_order_relaxed);
-      observe(ctx, core::EscalationKind::kBreakerReset, size, 0);
+      trace::mark(sink_, ctx, trace::EventKind::kBreakerReset, size, 0);
     }
     return p;
   }
@@ -132,12 +127,12 @@ void* ResilientManager::recovering_malloc(gpu::ThreadCtx& ctx,
       s.open.exchange(1, std::memory_order_acq_rel) == 0) {
     s.served_open.store(0, std::memory_order_relaxed);
     breaker_trips_.fetch_add(1, std::memory_order_relaxed);
-    observe(ctx, core::EscalationKind::kBreakerTrip, size, consec);
+    trace::mark(sink_, ctx, trace::EventKind::kBreakerTrip, size, consec);
   }
 
   if (void* fp = fallback(ctx, size)) return fp;
   unrecovered_.fetch_add(1, std::memory_order_relaxed);
-  observe(ctx, core::EscalationKind::kUnrecovered, size, 0);
+  trace::mark(sink_, ctx, trace::EventKind::kUnrecovered, size, 0);
   return nullptr;
 }
 
@@ -154,8 +149,8 @@ void ResilientManager::free(gpu::ThreadCtx& ctx, void* ptr) {
   if (reserve_.owns(ptr)) {
     if (reserve_.free(ctx, ptr) == ReservePool::FreeResult::kFreed) {
       fallback_frees_.fetch_add(1, std::memory_order_relaxed);
-      observe(ctx, core::EscalationKind::kFallbackFree, 0,
-              inner_heap_bytes_ + reserve_.offset_of(ptr));
+      trace::mark(sink_, ctx, trace::EventKind::kFallbackFree, 0,
+                  inner_heap_bytes_ + reserve_.offset_of(ptr));
     }
     // Double / invalid frees on reserve pointers are absorbed and counted
     // by the pool; they must never reach the inner manager, whose heap has

@@ -9,6 +9,7 @@
 #include "core/registry.h"
 #include "core/resilience.h"
 #include "gpu/device.h"
+#include "trace/trace_event.h"
 
 namespace gms::alloc_core {
 
@@ -27,11 +28,11 @@ namespace gms::alloc_core {
 ///      the fallback path; every `breaker_decay`-th call half-opens the
 ///      breaker and probes the inner manager, closing it on success.
 ///
-/// Every escalation step is reported through the ResilienceObserver seam;
-/// when the stack also has a trace stage the StackBuilder installs a
-/// recorder-backed observer, so Chrome export shows recovery traffic and
-/// the canonical replay digest stays byte-identical (escalation events are
-/// markers, outside the digest's allocation-event range).
+/// Every escalation step is marked (trace::EventKind 24-29) through the
+/// stack's trace::MarkerSink; the StackBuilder points it at the recorder
+/// when the stack also has a trace stage, so Chrome export shows recovery
+/// traffic and the canonical replay digest stays byte-identical (the kinds
+/// are markers, outside the digest's allocation-event range).
 ///
 /// Like the other decorators, bookkeeping uses plain std::atomic — the
 /// inner allocator's instrumented contention counters see only real
@@ -63,11 +64,9 @@ class ResilientManager final : public core::MemoryManager {
   /// reads are a consistent-enough monotonic estimate).
   [[nodiscard]] core::ResilienceReport report() const;
 
-  /// Installs (and owns) the escalation observer. Pass nullptr to detach.
-  /// Host-side only; never swap observers while kernels run.
-  void set_observer(std::unique_ptr<core::ResilienceObserver> obs) {
-    observer_ = std::move(obs);
-  }
+  /// Points escalation markers at `sink` (not owned; nullptr = off).
+  /// Host-side only; never swap sinks while kernels run.
+  void set_marker_sink(trace::MarkerSink* sink) { sink_ = sink; }
 
   /// Twin-trait derivation from the cached base traits (no probe), the
   /// ValidatingManager/WarpAggregator pattern. The caller renames.
@@ -84,8 +83,6 @@ class ResilientManager final : public core::MemoryManager {
 
   [[nodiscard]] unsigned site_for(std::size_t size) const;
   void spin_backoff(gpu::ThreadCtx& ctx, unsigned attempt, bool per_lane);
-  void observe(gpu::ThreadCtx& ctx, core::EscalationKind kind,
-               std::uint64_t size, std::uint64_t detail);
   /// The shared malloc/warp_malloc escalation chain.
   [[nodiscard]] void* recovering_malloc(gpu::ThreadCtx& ctx, std::size_t size,
                                         bool warp);
@@ -95,7 +92,7 @@ class ResilientManager final : public core::MemoryManager {
   std::size_t inner_heap_bytes_;
   ReservePool reserve_;
   std::unique_ptr<core::MemoryManager> inner_;
-  std::unique_ptr<core::ResilienceObserver> observer_;
+  trace::MarkerSink* sink_ = nullptr;
   std::string name_;
   core::AllocatorTraits traits_;
   SizeClassMap sites_map_;

@@ -128,10 +128,8 @@ void WarpAggregator::update_ema(gpu::ThreadCtx& ctx, SmState& sm,
     st.samples_since_switch = 0;
     st.probe_countdown = spec_.probe_every;
     ++sm.switches_to_agg;
-    if (observer_ != nullptr) {
-      observer_->on_agg_event(ctx, core::AggEventKind::kModeAggregated,
-                              SizeClassMap::round16(size), st.ema);
-    }
+    trace::mark(sink_, ctx, trace::EventKind::kAggModeAggregated,
+                SizeClassMap::round16(size), st.ema);
   } else if (st.aggregated && st.ema <= (spec_.exit_cost << kEmaFrac)) {
     st.aggregated = false;
     st.samples_since_switch = 0;
@@ -140,10 +138,8 @@ void WarpAggregator::update_ema(gpu::ThreadCtx& ctx, SmState& sm,
     // on this SM's sibling sites) needs a fresh storm-grade spike.
     sm.armed = false;
     ++sm.switches_to_pass;
-    if (observer_ != nullptr) {
-      observer_->on_agg_event(ctx, core::AggEventKind::kModePassthrough,
-                              SizeClassMap::round16(size), st.ema);
-    }
+    trace::mark(sink_, ctx, trace::EventKind::kAggModePassthrough,
+                SizeClassMap::round16(size), st.ema);
   }
 }
 
@@ -298,11 +294,11 @@ std::byte* WarpAggregator::carve(gpu::ThreadCtx& ctx, SmState& sm,
 
   // Anything that may suspend again runs only after the claim.
   if (superseded != nullptr) retire(ctx, superseded);
-  if (refilled && observer_ != nullptr) {
-    observer_->on_agg_event(
-        ctx, core::AggEventKind::kSlabRefill, slab_alloc_bytes_,
-        static_cast<std::uint64_t>(reinterpret_cast<std::byte*>(d) -
-                                   arena_lo_));
+  if (refilled) {
+    trace::mark(sink_, ctx, trace::EventKind::kAggSlabRefill,
+                slab_alloc_bytes_,
+                static_cast<std::uint64_t>(reinterpret_cast<std::byte*>(d) -
+                                           arena_lo_));
   }
   return p;
 }

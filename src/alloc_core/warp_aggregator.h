@@ -8,6 +8,7 @@
 #include "core/memory_manager.h"
 #include "core/warpagg.h"
 #include "gpu/device.h"
+#include "trace/trace_event.h"
 
 namespace gms::alloc_core {
 
@@ -32,9 +33,9 @@ namespace gms::alloc_core {
 /// EMA crosses `enter_cost`/`exit_cost` with a dwell damper (hysteresis).
 /// In aggregated mode every Nth group re-probes the per-lane path so a site
 /// can discover that contention went away. Decisions derive only from
-/// deterministic per-SM counters; mode switches surface through the
-/// AggregationObserver seam as trace markers outside the canonical replay
-/// digest.
+/// deterministic per-SM counters; mode switches and slab refills are marked
+/// (trace::EventKind 32-34) through the stack's trace::MarkerSink, outside
+/// the canonical replay digest.
 ///
 /// When the inner manager's traits advertise `bulk_free_capable` (and no
 /// individual free — the FDGMalloc shape), the slab path drops even the
@@ -60,11 +61,9 @@ class WarpAggregator final : public core::MemoryManager {
   [[nodiscard]] core::MemoryManager& inner() { return *inner_; }
   [[nodiscard]] const core::WarpAggSpec& spec() const { return spec_; }
 
-  /// Observer for mode switches and slab refills (the StackBuilder installs
-  /// a recorder-backed sink when the stack also has a trace stage).
-  void set_observer(std::unique_ptr<core::AggregationObserver> obs) {
-    observer_ = std::move(obs);
-  }
+  /// Points mode-switch and slab-refill markers at `sink` (not owned;
+  /// nullptr = off). Host-side only; never swap sinks while kernels run.
+  void set_marker_sink(trace::MarkerSink* sink) { sink_ = sink; }
 
   /// Host-side roll-up of the per-SM counters (quiescent reads).
   [[nodiscard]] core::AggregationReport report() const;
@@ -170,7 +169,7 @@ class WarpAggregator final : public core::MemoryManager {
   }
 
   std::unique_ptr<core::MemoryManager> inner_;
-  std::unique_ptr<core::AggregationObserver> observer_;
+  trace::MarkerSink* sink_ = nullptr;
   core::WarpAggSpec spec_;
   std::string name_;  ///< backs traits_.name ("<inner>+W")
   core::AllocatorTraits traits_{};

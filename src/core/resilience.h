@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "gpu/thread_ctx.h"
-
 namespace gms::core {
 
 template <typename C>
@@ -13,7 +11,8 @@ class ConfigSchema;
 
 /// Knobs of a "resilient" stack stage ("resilient{retries=2,reserve=10}"):
 /// the policy of the "+R" failure-recovery layer
-/// (alloc_core::ResilientManager). Every knob is deterministic — retry
+/// (alloc_core::ResilientManager, which marks each escalation step as a
+/// trace::EventKind 24-29 marker). Every knob is deterministic — retry
 /// backoff is a seeded hash of (lane, attempt), the circuit breaker counts
 /// calls rather than wall clock — so a recorded trace replays to the same
 /// escalation decisions.
@@ -40,46 +39,6 @@ struct ResilienceSpec {
 
   /// Keys retries|backoff|seed|reserve|breaker|decay.
   static const ConfigSchema<ResilienceSpec>& config_schema();
-};
-
-/// One step of the recovery escalation chain, reported through the
-/// ResilienceObserver seam (and from there into the trace stream).
-enum class EscalationKind : std::uint8_t {
-  kRetrySuccess,   ///< inner malloc succeeded on a retry attempt
-  kFallbackAlloc,  ///< reserve pool served the request
-  kFallbackFree,   ///< a reserve-pool block was returned
-  kBreakerTrip,    ///< a site crossed breaker_threshold consecutive failures
-  kBreakerReset,   ///< a half-open probe succeeded; site back on the inner
-  kUnrecovered,    ///< retry and reserve both failed; caller saw nullptr
-};
-
-[[nodiscard]] constexpr const char* to_string(EscalationKind k) {
-  switch (k) {
-    case EscalationKind::kRetrySuccess: return "retry-success";
-    case EscalationKind::kFallbackAlloc: return "fallback-alloc";
-    case EscalationKind::kFallbackFree: return "fallback-free";
-    case EscalationKind::kBreakerTrip: return "breaker-trip";
-    case EscalationKind::kBreakerReset: return "breaker-reset";
-    case EscalationKind::kUnrecovered: return "unrecovered";
-  }
-  return "?";
-}
-
-/// Seam between the resilience layer (alloc_core) and the trace layer
-/// (which alloc_core cannot see — gms_trace links gms_alloc_core, not the
-/// other way round). The StackBuilder installs a recorder-backed
-/// implementation whenever a stack has both a trace and a resilient stage,
-/// so Chrome export and replay tooling see recovery traffic as first-class
-/// events. Called from simulated device lanes: implementations must be
-/// thread-safe and must not allocate.
-class ResilienceObserver {
- public:
-  virtual ~ResilienceObserver() = default;
-  /// `detail` is kind-specific: attempts for kRetrySuccess, the arena offset
-  /// for fallback alloc/free, the consecutive-failure count for breaker
-  /// transitions, 0 for kUnrecovered.
-  virtual void on_escalation(gpu::ThreadCtx& ctx, EscalationKind kind,
-                             std::uint64_t size, std::uint64_t detail) = 0;
 };
 
 /// The "+R" per-site breaker state machine, extracted as a host-callable,

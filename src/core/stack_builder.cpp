@@ -1,7 +1,9 @@
 // Compiled into gms_trace (not gms_core): the trace stage constructs
 // TracingManager, which lives a layer above the core library. Everything
 // else the builder touches (registry, validator, injector, aggregator) is
-// visible from there without a dependency cycle.
+// visible from there without a dependency cycle. The layers below gms_trace
+// that emit markers (resilient, warpagg, the host-based bases) hold a
+// header-only trace::MarkerSink; build() points it at the stack's recorder.
 #include "core/stack_builder.h"
 
 #include <algorithm>
@@ -21,138 +23,6 @@ namespace {
 
 constexpr std::string_view kStageNames[] = {"trace", "fault", "validate",
                                             "warpagg", "resilient"};
-
-/// ResilienceObserver that forwards "+R" escalations into the stack's
-/// TraceRecorder as recovery-marker events — the bridge the alloc_core
-/// layer cannot build itself (it sits below gms_trace). Owned by the
-/// ResilientManager, so it cannot outlive-dangle: the BuiltStack contract
-/// already keeps the recorder alive as long as the manager.
-class RecorderEscalationSink final : public ResilienceObserver {
- public:
-  explicit RecorderEscalationSink(trace::TraceRecorder& rec) : rec_(rec) {}
-
-  void on_escalation(gpu::ThreadCtx& ctx, EscalationKind kind,
-                     std::uint64_t size, std::uint64_t detail) override {
-    if (!rec_.enabled()) return;
-    trace::TraceEvent ev;
-    ev.kind = static_cast<std::uint8_t>(map(kind));
-    ev.t_ns = rec_.now_ns();
-    ev.size = size;
-    ev.offset = detail;
-    ev.thread_rank = ctx.thread_rank();
-    ev.block = ctx.block_idx();
-    ev.smid = static_cast<std::uint8_t>(ctx.smid());
-    ev.lane = static_cast<std::uint8_t>(ctx.lane_id());
-    ev.warp = static_cast<std::uint8_t>(ctx.warp_in_block());
-    rec_.record(ctx.smid(), ev);
-  }
-
- private:
-  static trace::EventKind map(EscalationKind k) {
-    switch (k) {
-      case EscalationKind::kRetrySuccess:
-        return trace::EventKind::kRetrySuccess;
-      case EscalationKind::kFallbackAlloc:
-        return trace::EventKind::kFallbackAlloc;
-      case EscalationKind::kFallbackFree:
-        return trace::EventKind::kFallbackFree;
-      case EscalationKind::kBreakerTrip:
-        return trace::EventKind::kBreakerTrip;
-      case EscalationKind::kBreakerReset:
-        return trace::EventKind::kBreakerReset;
-      case EscalationKind::kUnrecovered:
-        return trace::EventKind::kUnrecovered;
-    }
-    return trace::EventKind::kUnrecovered;
-  }
-
-  trace::TraceRecorder& rec_;
-};
-
-/// AggregationObserver that forwards "+W" mode switches and slab refills
-/// into the stack's TraceRecorder as aggregation-marker events — the same
-/// bridge as RecorderEscalationSink, one layer over. Owned by the
-/// WarpAggregator; the BuiltStack contract keeps the recorder alive as long
-/// as the manager.
-class RecorderAggSink final : public AggregationObserver {
- public:
-  explicit RecorderAggSink(trace::TraceRecorder& rec) : rec_(rec) {}
-
-  void on_agg_event(gpu::ThreadCtx& ctx, AggEventKind kind, std::uint64_t size,
-                    std::uint64_t detail) override {
-    if (!rec_.enabled()) return;
-    trace::TraceEvent ev;
-    ev.kind = static_cast<std::uint8_t>(map(kind));
-    ev.t_ns = rec_.now_ns();
-    ev.size = size;
-    ev.offset = detail;
-    ev.thread_rank = ctx.thread_rank();
-    ev.block = ctx.block_idx();
-    ev.smid = static_cast<std::uint8_t>(ctx.smid());
-    ev.lane = static_cast<std::uint8_t>(ctx.lane_id());
-    ev.warp = static_cast<std::uint8_t>(ctx.warp_in_block());
-    rec_.record(ctx.smid(), ev);
-  }
-
- private:
-  static trace::EventKind map(AggEventKind k) {
-    switch (k) {
-      case AggEventKind::kModeAggregated:
-        return trace::EventKind::kAggModeAggregated;
-      case AggEventKind::kModePassthrough:
-        return trace::EventKind::kAggModePassthrough;
-      case AggEventKind::kSlabRefill:
-        return trace::EventKind::kAggSlabRefill;
-    }
-    return trace::EventKind::kAggSlabRefill;
-  }
-
-  trace::TraceRecorder& rec_;
-};
-
-/// HostPlacementObserver that forwards host-based placement decisions into
-/// the stack's TraceRecorder as host-placement markers (EventKind 48-51) —
-/// the same bridge as the sinks above, for the hostalloc layer. Owned by
-/// the HostManagerBase; the BuiltStack contract keeps the recorder alive
-/// as long as the manager.
-class RecorderHostSink final : public hostalloc::HostPlacementObserver {
- public:
-  explicit RecorderHostSink(trace::TraceRecorder& rec) : rec_(rec) {}
-
-  void on_placement_event(gpu::ThreadCtx& ctx,
-                          hostalloc::PlacementEventKind kind,
-                          std::uint64_t size, std::uint64_t detail) override {
-    if (!rec_.enabled()) return;
-    trace::TraceEvent ev;
-    ev.kind = static_cast<std::uint8_t>(map(kind));
-    ev.t_ns = rec_.now_ns();
-    ev.size = size;
-    ev.offset = detail;
-    ev.thread_rank = ctx.thread_rank();
-    ev.block = ctx.block_idx();
-    ev.smid = static_cast<std::uint8_t>(ctx.smid());
-    ev.lane = static_cast<std::uint8_t>(ctx.lane_id());
-    ev.warp = static_cast<std::uint8_t>(ctx.warp_in_block());
-    rec_.record(ctx.smid(), ev);
-  }
-
- private:
-  static trace::EventKind map(hostalloc::PlacementEventKind k) {
-    switch (k) {
-      case hostalloc::PlacementEventKind::kCarve:
-        return trace::EventKind::kHostCarve;
-      case hostalloc::PlacementEventKind::kCoalesce:
-        return trace::EventKind::kHostCoalesce;
-      case hostalloc::PlacementEventKind::kStreamSync:
-        return trace::EventKind::kHostStreamSync;
-      case hostalloc::PlacementEventKind::kTrim:
-        return trace::EventKind::kHostTrim;
-    }
-    return trace::EventKind::kHostCarve;
-  }
-
-  trace::TraceRecorder& rec_;
-};
 
 /// The typed knobs of one stage token: `overrides` applied over the
 /// stage's defaults through its schema (throws ConfigError).
@@ -324,7 +194,10 @@ BuiltStack StackBuilder::build(const StackSpec& spec,
   out.manager = f(*dev_, heap_bytes);
 
   // Harvest borrowed layer pointers + the stack's identity name by walking
-  // the chain outermost-in.
+  // the chain outermost-in, and point every marker-emitting layer at the
+  // recorder (null without a trace stage): recovery, aggregation and
+  // placement markers land in the recording, outside the digest.
+  trace::MarkerSink* const sink = out.recorder.get();
   MemoryManager* m = out.manager.get();
   while (m != nullptr) {
     if (auto* t = dynamic_cast<trace::TracingManager*>(m)) {
@@ -340,42 +213,23 @@ BuiltStack StackBuilder::build(const StackSpec& spec,
     } else if (auto* w = dynamic_cast<alloc_core::WarpAggregator*>(m)) {
       if (out.aggregator == nullptr) out.aggregator = w;
       if (out.name.empty()) out.name = std::string(w->traits().name);
+      w->set_marker_sink(sink);
       m = &w->inner();
     } else if (auto* r = dynamic_cast<alloc_core::ResilientManager*>(m)) {
       if (out.resilient == nullptr) out.resilient = r;
       if (out.name.empty()) out.name = std::string(r->traits().name);
+      r->set_marker_sink(sink);
       m = &r->inner();
     } else {
-      // `m` is the base manager; note host-based bases for the trace sink.
+      // `m` is the base manager; host-based bases mark their placements.
       out.host = dynamic_cast<hostalloc::HostManagerBase*>(m);
+      if (out.host != nullptr) out.host->set_marker_sink(sink);
       break;
     }
   }
   if (out.name.empty()) out.name = std::string(entry->traits.name);
 
-  if (out.recorder != nullptr) {
-    dev_->set_launch_observer(out.recorder.get());
-    // A traced resilient stage reports its escalations into the recording:
-    // recovery traffic becomes first-class trace events (Chrome export's
-    // "resilience" category) without the digest ever seeing them.
-    if (out.resilient != nullptr) {
-      out.resilient->set_observer(
-          std::make_unique<RecorderEscalationSink>(*out.recorder));
-    }
-    // Likewise for a traced warpagg stage: mode switches and slab refills
-    // become "warpagg"-category trace markers, outside the digest.
-    if (out.aggregator != nullptr) {
-      out.aggregator->set_observer(
-          std::make_unique<RecorderAggSink>(*out.recorder));
-    }
-    // A traced host-based base reports its placement decisions (carves,
-    // coalesces, stream syncs/trims) as "hostalloc"-category markers,
-    // outside the digest.
-    if (out.host != nullptr) {
-      out.host->set_observer(
-          std::make_unique<RecorderHostSink>(*out.recorder));
-    }
-  }
+  if (out.recorder != nullptr) dev_->set_launch_observer(out.recorder.get());
   return out;
 }
 

@@ -91,7 +91,8 @@ struct BuiltStack {
   alloc_core::WarpAggregator* aggregator = nullptr;
   alloc_core::ResilientManager* resilient = nullptr;
   /// The base manager when it belongs to the host-based family (nullptr for
-  /// device-side bases): the seam for the host-placement trace sink.
+  /// device-side bases); like `resilient` and `aggregator` it marks into
+  /// `recorder` when the stack has a trace stage.
   hostalloc::HostManagerBase* host = nullptr;
   std::unique_ptr<trace::TraceRecorder> recorder;  ///< set iff a trace stage
 

@@ -3,18 +3,17 @@
 #include <cstdint>
 #include <string>
 
-#include "gpu/thread_ctx.h"
-
 namespace gms::core {
 
 template <typename C>
 class ConfigSchema;
 
 /// Knobs of a "warpagg" stack stage ("warpagg{slab=16}"): the policy of the
-/// adaptive "+W" warp-aggregation layer (alloc_core::WarpAggregator). Sites
-/// start on the per-lane passthrough path and switch to the aggregated path
-/// only when the sampled contention EMA crosses `enter_cost` (back below
-/// `exit_cost` switches out — hysteresis, so decisions don't flap). An
+/// adaptive "+W" warp-aggregation layer (alloc_core::WarpAggregator, which
+/// marks mode switches and slab refills as trace::EventKind 32-34 markers).
+/// Sites start on the per-lane passthrough path and switch to the aggregated
+/// path only when the sampled contention EMA crosses `enter_cost` (back
+/// below `exit_cost` switches out — hysteresis, so decisions don't flap). An
 /// explicit warp_malloc always takes the aggregated path. The cost sampler
 /// reads per-SM instrumentation counters (device atomics, CAS retries,
 /// backoffs), never wall clock. At 1 SM those counters are exact, so a
@@ -63,39 +62,6 @@ struct WarpAggSpec {
 
   /// Keys enter|exit|dwell|sample|probe|slab; exit must stay below enter.
   static const ConfigSchema<WarpAggSpec>& config_schema();
-};
-
-/// One adaptive-aggregation event, reported through the AggregationObserver
-/// seam (and from there into the trace stream as marker events outside the
-/// canonical replay digest — the PR 6 resilience-marker idiom).
-enum class AggEventKind : std::uint8_t {
-  kModeAggregated,   ///< a site's EMA crossed enter_cost; now aggregating
-  kModePassthrough,  ///< a site's EMA fell to exit_cost; back to per-lane
-  kSlabRefill,       ///< the per-SM slab was refilled from the inner manager
-};
-
-[[nodiscard]] constexpr const char* to_string(AggEventKind k) {
-  switch (k) {
-    case AggEventKind::kModeAggregated: return "mode-aggregated";
-    case AggEventKind::kModePassthrough: return "mode-passthrough";
-    case AggEventKind::kSlabRefill: return "slab-refill";
-  }
-  return "?";
-}
-
-/// Seam between the aggregation layer (alloc_core) and the trace layer
-/// (which alloc_core cannot see). The StackBuilder installs a recorder-backed
-/// implementation whenever a stack has both a trace and a warpagg stage.
-/// Called from simulated device lanes: implementations must be thread-safe
-/// and must not allocate.
-class AggregationObserver {
- public:
-  virtual ~AggregationObserver() = default;
-  /// `size` is the site's size-class bytes (mode switches) or the refill
-  /// request (kSlabRefill); `detail` is the EMA at the switch (fixed point,
-  /// see WarpAggregator) or the slab's arena offset.
-  virtual void on_agg_event(gpu::ThreadCtx& ctx, AggEventKind kind,
-                            std::uint64_t size, std::uint64_t detail) = 0;
 };
 
 /// Host-side snapshot of the "+W" layer's bookkeeping — what bench_warpagg

@@ -89,7 +89,7 @@ void* ExtentBestFit::malloc(gpu::ThreadCtx& ctx, std::size_t size) {
   }
   live_.emplace(off, LiveExtent{rounded, slot});
   ++carves_;
-  notify(ctx, PlacementEventKind::kCarve, rounded, off);
+  trace::mark(sink_, ctx, trace::EventKind::kHostCarve, rounded, off);
   return arena_.at(off);
 }
 
@@ -114,7 +114,7 @@ void ExtentBestFit::free(gpu::ThreadCtx& ctx, void* ptr) {
   const unsigned merges = extents_.insert(off, ext.bytes);
   if (merges > 0) {
     ++coalesces_;
-    notify(ctx, PlacementEventKind::kCoalesce, ext.bytes, merges);
+    trace::mark(sink_, ctx, trace::EventKind::kHostCoalesce, ext.bytes, merges);
   }
 }
 

@@ -79,8 +79,8 @@ void* HostBuddy::malloc(gpu::ThreadCtx& ctx, std::size_t size) {
   }
   live_.emplace(off, order);
   free_bytes_ -= block_bytes(order);
-  notify(ctx, PlacementEventKind::kCarve, block_bytes(order),
-         pool_offset_ + off);
+  trace::mark(sink_, ctx, trace::EventKind::kHostCarve, block_bytes(order),
+              pool_offset_ + off);
   return arena_.at(pool_offset_ + off);
 }
 
@@ -114,7 +114,8 @@ void HostBuddy::free(gpu::ThreadCtx& ctx, void* ptr) {
   }
   free_[order].insert(off);
   if (merged > 0) {
-    notify(ctx, PlacementEventKind::kCoalesce, block_bytes(order), merged);
+    trace::mark(sink_, ctx, trace::EventKind::kHostCoalesce,
+                block_bytes(order), merged);
   }
 }
 

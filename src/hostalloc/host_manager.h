@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "alloc_core/sub_arena.h"
@@ -10,40 +9,9 @@
 #include "core/memory_manager.h"
 #include "gpu/device.h"
 #include "gpu/thread_ctx.h"
+#include "trace/trace_event.h"
 
 namespace gms::hostalloc {
-
-/// Host-placement event taxonomy for the hostalloc observer seam — the
-/// family's equivalent of core::EscalationKind. The StackBuilder bridges
-/// these into trace markers (EventKind 48-51) when a trace stage is present,
-/// exactly like the "+R" escalation sink; the markers stay outside the
-/// canonical replay digest.
-enum class PlacementEventKind : std::uint8_t {
-  kCarve,       ///< host planner carved an extent; size = bytes, detail = off
-  kCoalesce,    ///< free merged neighbours; size = merged bytes, detail = #merges
-  kStreamSync,  ///< stream-ordered pool drained deferred frees at a sync point
-  kTrim,        ///< cached pool memory released back to the global extent map
-};
-
-[[nodiscard]] constexpr const char* to_string(PlacementEventKind k) {
-  switch (k) {
-    case PlacementEventKind::kCarve: return "carve";
-    case PlacementEventKind::kCoalesce: return "coalesce";
-    case PlacementEventKind::kStreamSync: return "stream_sync";
-    case PlacementEventKind::kTrim: return "trim";
-  }
-  return "?";
-}
-
-/// Observer seam for host-placement decisions. The hostalloc layer sits
-/// below gms_trace, so it cannot record trace events itself; StackBuilder
-/// installs a recorder-backed sink when the stack has a trace stage.
-class HostPlacementObserver {
- public:
-  virtual ~HostPlacementObserver() = default;
-  virtual void on_placement_event(gpu::ThreadCtx& ctx, PlacementEventKind kind,
-                                  std::uint64_t size, std::uint64_t detail) = 0;
-};
 
 /// Uniform debug/introspection surface across the host-based family, in the
 /// ppsspp `GPUMemoryManager` idiom (SNIPPETS.md snippet 3): a name, a
@@ -69,7 +37,8 @@ void unregister_host_manager(HostIntrospection* mgr);
 /// Common substrate of the host-based allocator family (DESIGN.md §14):
 /// a SubArena slice of the device heap, one arena-resident spin-lock word
 /// serializing host planning (the family's honest RPC-serialization cost),
-/// the placement-observer seam, and automatic introspection registration.
+/// a trace::MarkerSink for placement markers (trace::EventKind 48-51), and
+/// automatic introspection registration.
 ///
 /// Cancellation safety: the planning structures are ordinary host-side
 /// containers, but every mutation happens inside a DeviceSpinLock critical
@@ -85,20 +54,13 @@ class HostManagerBase : public core::MemoryManager, public HostIntrospection {
   HostManagerBase(const HostManagerBase&) = delete;
   HostManagerBase& operator=(const HostManagerBase&) = delete;
 
-  /// Installs the placement-event sink (StackBuilder wiring; may be null).
-  void set_observer(std::unique_ptr<HostPlacementObserver> obs) {
-    observer_ = std::move(obs);
-  }
+  /// Points placement markers (carves, coalesces, stream syncs and trims)
+  /// at `sink` (not owned; nullptr = off). StackBuilder wiring, host-side
+  /// only.
+  void set_marker_sink(trace::MarkerSink* sink) { sink_ = sink; }
 
  protected:
   HostManagerBase(gpu::Device& dev, std::size_t heap_bytes);
-
-  void notify(gpu::ThreadCtx& ctx, PlacementEventKind kind, std::uint64_t size,
-              std::uint64_t detail) {
-    if (observer_ != nullptr) {
-      observer_->on_placement_event(ctx, kind, size, detail);
-    }
-  }
 
   [[nodiscard]] alloc::DeviceSpinLock planner_lock() const {
     return alloc::DeviceSpinLock{lock_word_};
@@ -107,9 +69,7 @@ class HostManagerBase : public core::MemoryManager, public HostIntrospection {
   gpu::Device* dev_;
   alloc_core::SubArena arena_;
   std::uint32_t* lock_word_ = nullptr;  ///< serializes all host planning
-
- private:
-  std::unique_ptr<HostPlacementObserver> observer_;
+  trace::MarkerSink* sink_ = nullptr;
 };
 
 }  // namespace gms::hostalloc

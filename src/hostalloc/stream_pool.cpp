@@ -89,7 +89,7 @@ void StreamPool::sync_if_new_launch_locked(gpu::ThreadCtx& ctx) {
     const std::uint64_t released =
         drain_stream_locked(streams_[s], cfg_.release_threshold);
     if (released > 0) {
-      notify(ctx, PlacementEventKind::kStreamSync, released, s);
+      trace::mark(sink_, ctx, trace::EventKind::kHostStreamSync, released, s);
     }
   }
 }
@@ -138,7 +138,7 @@ void* StreamPool::malloc(gpu::ThreadCtx& ctx, std::size_t size) {
     return nullptr;
   }
   live_.emplace(off, std::pair{rounded, stream});
-  notify(ctx, PlacementEventKind::kCarve, rounded, off);
+  trace::mark(sink_, ctx, trace::EventKind::kHostCarve, rounded, off);
   return arena_.at(off);
 }
 
@@ -168,7 +168,7 @@ void StreamPool::trim(gpu::ThreadCtx& ctx) {
   alloc::DeviceLockGuard guard(planner_lock(), ctx);
   const std::uint64_t released = drain_stream_locked(streams_[stream], 0);
   if (released > 0) {
-    notify(ctx, PlacementEventKind::kTrim, released, stream);
+    trace::mark(sink_, ctx, trace::EventKind::kHostTrim, released, stream);
   }
 }
 

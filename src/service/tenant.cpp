@@ -1,65 +1,21 @@
 #include "service/tenant.h"
 
-#include <charconv>
-#include <stdexcept>
+#include "core/alloc_config.h"
 
 namespace gms::service {
 
-namespace {
-
-std::uint64_t parse_u64(std::string_view key, std::string_view val) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(val.data(), val.data() + val.size(), out);
-  if (ec != std::errc{} || ptr != val.data() + val.size()) {
-    throw std::invalid_argument{"bad quota value for " + std::string(key) +
-                                ": \"" + std::string(val) + "\""};
-  }
-  return out;
-}
-
-}  // namespace
-
-QuotaSpec QuotaSpec::parse(std::string_view spec) {
-  QuotaSpec out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    auto comma = spec.find(',', pos);
-    if (comma == std::string_view::npos) comma = spec.size();
-    const auto tok = spec.substr(pos, comma - pos);
-    const auto eq = tok.find('=');
-    if (eq == std::string_view::npos || eq == 0 || eq + 1 >= tok.size()) {
-      throw std::invalid_argument{"bad quota token: \"" + std::string(tok) +
-                                  "\" (expected key=value)"};
-    }
-    const auto key = tok.substr(0, eq);
-    const auto val = tok.substr(eq + 1);
-    if (key == "bytes") {
-      out.byte_quota = parse_u64(key, val);
-    } else if (key == "ops") {
-      out.op_quota = parse_u64(key, val);
-    } else if (key == "bucket") {
-      out.bucket_capacity = parse_u64(key, val);
-    } else if (key == "refill") {
-      out.bucket_refill = parse_u64(key, val);
-    } else if (key == "budget") {
-      out.round_budget_ops = parse_u64(key, val);
-    } else {
-      throw std::invalid_argument{
-          "unknown quota key: \"" + std::string(key) +
-          "\" (expected bytes|ops|bucket|refill|budget)"};
-    }
-    pos = comma + 1;
-  }
-  return out;
-}
-
-std::string QuotaSpec::to_string() const {
-  return "bytes=" + std::to_string(byte_quota) +
-         ",ops=" + std::to_string(op_quota) +
-         ",bucket=" + std::to_string(bucket_capacity) +
-         ",refill=" + std::to_string(bucket_refill) +
-         ",budget=" + std::to_string(round_budget_ops);
+const core::ConfigSchema<QuotaSpec>& QuotaSpec::config_schema() {
+  static const auto schema = [] {
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    core::ConfigSchema<QuotaSpec> s;
+    s.u64("bytes", &QuotaSpec::byte_quota, 0, kMax)
+        .u64("ops", &QuotaSpec::op_quota, 0, kMax)
+        .u64("bucket", &QuotaSpec::bucket_capacity, 0, kMax)
+        .u64("refill", &QuotaSpec::bucket_refill, 0, kMax)
+        .u64("budget", &QuotaSpec::round_budget_ops, 0, kMax);
+    return s;
+  }();
+  return schema;
 }
 
 std::string TenantReport::to_string() const {

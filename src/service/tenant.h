@@ -2,8 +2,12 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
+
+namespace gms::core {
+template <typename C>
+class ConfigSchema;
+}  // namespace gms::core
 
 namespace gms::service {
 
@@ -47,10 +51,9 @@ struct TenantSpec {
   std::uint64_t bucket_refill = 0;
 };
 
-/// Parsed form of the service quota CLI spec
-/// ("bytes=N,ops=N,bucket=N,refill=N,budget=N"): the per-tenant defaults
-/// plus the service-wide per-round op budget. Unknown keys throw
-/// std::invalid_argument; omitted keys keep defaults (unlimited).
+/// The service's admission knobs ("--quota '{bytes=N,ops=N,...}'"): the
+/// per-tenant defaults plus the service-wide per-round op budget. Omitted
+/// keys keep defaults (unlimited).
 struct QuotaSpec {
   std::uint64_t byte_quota = 0;
   std::uint64_t op_quota = 0;
@@ -60,8 +63,8 @@ struct QuotaSpec {
   /// first. 0 = unlimited.
   std::uint64_t round_budget_ops = 0;
 
-  static QuotaSpec parse(std::string_view spec);
-  [[nodiscard]] std::string to_string() const;
+  /// Keys bytes|ops|bucket|refill|budget, each a decimal u64.
+  static const core::ConfigSchema<QuotaSpec>& config_schema();
 };
 
 /// One allocation-stream operation. Slots are tenant-scoped handles (the

@@ -4,6 +4,10 @@
 #include <cstdint>
 #include <type_traits>
 
+namespace gms::gpu {
+class ThreadCtx;
+}  // namespace gms::gpu
+
 namespace gms::trace {
 
 /// What one trace record describes. Allocation events (the low range) carry
@@ -20,10 +24,10 @@ enum class EventKind : std::uint8_t {
   kWatchdogCancel = 18,  ///< watchdog raised the cancellation flag
   kBarrier = 19,         ///< one block-wide barrier released on this SM
 
-  // Recovery markers emitted by the "+R" resilient stage. Markers, not
-  // allocation events: they ride along in exports and replay tooling but
-  // stay outside canonical_bytes, so recovery traffic never perturbs the
-  // replay-determinism digest.
+  // Recovery markers emitted by the "+R" resilient stage through its
+  // MarkerSink. Markers, not allocation events: they ride along in exports
+  // and replay tooling but stay outside canonical_bytes, so recovery
+  // traffic never perturbs the replay-determinism digest.
   kRetrySuccess = 24,   ///< size = request; offset = winning attempt ordinal
   kFallbackAlloc = 25,  ///< reserve pool served; offset = arena offset
   kFallbackFree = 26,   ///< reserve block returned; offset = arena offset
@@ -31,10 +35,10 @@ enum class EventKind : std::uint8_t {
   kBreakerReset = 28,   ///< a half-open probe succeeded
   kUnrecovered = 29,    ///< escalation exhausted; the caller saw nullptr
 
-  // Adaptive warp-aggregation markers emitted by the "+W" stage (same
-  // marker contract as 24-29: exported and replayed alongside allocation
-  // events but outside canonical_bytes, so path switching never perturbs
-  // the replay-determinism digest).
+  // Adaptive warp-aggregation markers emitted by the "+W" stage through its
+  // MarkerSink (same marker contract as 24-29: exported and replayed
+  // alongside allocation events but outside canonical_bytes, so path
+  // switching never perturbs the replay-determinism digest).
   kAggModeAggregated = 32,   ///< size = site class bytes; offset = EMA (fp)
   kAggModePassthrough = 33,  ///< size = site class bytes; offset = EMA (fp)
   kAggSlabRefill = 34,       ///< size = refill bytes; offset = slab offset
@@ -53,10 +57,10 @@ enum class EventKind : std::uint8_t {
   kQuarantineEngage = 46,  ///< all shards sick: fork-contained fallback
 
   // Host-placement markers emitted by the host-based allocator family
-  // (src/hostalloc, DESIGN.md §14) via the HostPlacementObserver seam.
-  // Markers like 24-46: exported and replayed alongside allocation events
-  // but outside canonical_bytes, so host planning detail never perturbs
-  // the replay-determinism digest.
+  // (src/hostalloc, DESIGN.md §14) through its MarkerSink. Markers like
+  // 24-46: exported and replayed alongside allocation events but outside
+  // canonical_bytes, so host planning detail never perturbs the
+  // replay-determinism digest.
   kHostCarve = 48,       ///< size = carved bytes; offset = arena offset
   kHostCoalesce = 49,    ///< size = merged bytes; offset = merges performed
   kHostStreamSync = 50,  ///< size = bytes made global; offset = stream id
@@ -164,5 +168,27 @@ struct TraceEvent {
 static_assert(sizeof(TraceEvent) == 64,
               "TraceEvent layout is part of the .gmtrace format");
 static_assert(std::is_trivially_copyable_v<TraceEvent>);
+
+/// The one seam through which layers below gms_trace (the "+R" resilient
+/// stage, the "+W" aggregator, the host-based family) record lane markers.
+/// Header-only, so those layers hold a sink without linking gms_trace; the
+/// StackBuilder points them at the stack's TraceRecorder when the stack has
+/// a trace stage. Called from simulated device lanes: implementations must
+/// be thread-safe and must not allocate.
+class MarkerSink {
+ public:
+  virtual ~MarkerSink() = default;
+  /// Records one `kind` marker for the calling lane; `size` and `detail`
+  /// (the event's offset field) carry what the kind documents above.
+  virtual void mark(gpu::ThreadCtx& ctx, EventKind kind, std::uint64_t size,
+                    std::uint64_t detail) = 0;
+};
+
+/// Emits one marker when a sink is installed: a null sink (tracing off)
+/// costs the caller one load and a branch.
+inline void mark(MarkerSink* sink, gpu::ThreadCtx& ctx, EventKind kind,
+                 std::uint64_t size, std::uint64_t detail) {
+  if (sink != nullptr) sink->mark(ctx, kind, size, detail);
+}
 
 }  // namespace gms::trace

@@ -50,6 +50,13 @@ class File {
   std::FILE* f_ = nullptr;
 };
 
+/// Chrome category of a lane marker, by the EventKind range it sits in.
+const char* marker_category(EventKind k) {
+  if (is_resilience_event(k)) return "resilience";
+  if (is_aggregation_event(k)) return "warpagg";
+  return "hostalloc";
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -155,23 +162,6 @@ void write_chrome_trace(const std::string& path, const Trace& trace) {
             "\"ts\":%.3f}",
             ev.block, static_cast<unsigned>(ev.smid), us(ev.t_ns));
         break;
-      case EventKind::kRetrySuccess:
-      case EventKind::kFallbackAlloc:
-      case EventKind::kFallbackFree:
-      case EventKind::kBreakerTrip:
-      case EventKind::kBreakerReset:
-      case EventKind::kUnrecovered:
-        // Recovery traffic from the "+R" stage: thread-scoped instants on
-        // the SM that escalated, with the request size and the kind-specific
-        // detail (attempt / arena offset / failure streak) as args.
-        f.printf(
-            ",\n{\"ph\":\"i\",\"name\":\"%s\",\"s\":\"t\","
-            "\"cat\":\"resilience\",\"pid\":0,\"tid\":%u,\"ts\":%.3f,"
-            "\"args\":{\"rank\":%" PRIu32 ",\"size\":%" PRIu64
-            ",\"detail\":%" PRIu64 "}}",
-            to_string(kind), static_cast<unsigned>(ev.smid), us(ev.t_ns),
-            ev.thread_rank, ev.size, ev.offset);
-        break;
       case EventKind::kTenantShed:
       case EventKind::kQuotaReject:
       case EventKind::kShardHealthTrip:
@@ -191,33 +181,30 @@ void write_chrome_trace(const std::string& path, const Trace& trace) {
             to_string(kind), host_tid, us(ev.t_ns), ev.thread_rank, ev.block,
             ev.kernel_seq, ev.size, ev.offset);
         break;
+      case EventKind::kRetrySuccess:
+      case EventKind::kFallbackAlloc:
+      case EventKind::kFallbackFree:
+      case EventKind::kBreakerTrip:
+      case EventKind::kBreakerReset:
+      case EventKind::kUnrecovered:
       case EventKind::kAggModeAggregated:
       case EventKind::kAggModePassthrough:
       case EventKind::kAggSlabRefill:
-        // Adaptive warp-aggregation markers from the "+W" stage: the site's
-        // size class (or refill bytes) and the EMA / slab offset as detail.
-        f.printf(
-            ",\n{\"ph\":\"i\",\"name\":\"%s\",\"s\":\"t\","
-            "\"cat\":\"warpagg\",\"pid\":0,\"tid\":%u,\"ts\":%.3f,"
-            "\"args\":{\"rank\":%" PRIu32 ",\"size\":%" PRIu64
-            ",\"detail\":%" PRIu64 "}}",
-            to_string(kind), static_cast<unsigned>(ev.smid), us(ev.t_ns),
-            ev.thread_rank, ev.size, ev.offset);
-        break;
       case EventKind::kHostCarve:
       case EventKind::kHostCoalesce:
       case EventKind::kHostStreamSync:
       case EventKind::kHostTrim:
-        // Host-placement markers from the host-based family: carve/coalesce
-        // decisions and stream sync/trim points, with the byte count and
-        // the kind-specific detail (arena offset / merges / stream id).
+        // Lane markers from the "+R", "+W" and host-placement layers:
+        // thread-scoped instants on the SM that marked, with the size and
+        // the kind-specific detail (EventKind documents both) as args.
         f.printf(
             ",\n{\"ph\":\"i\",\"name\":\"%s\",\"s\":\"t\","
-            "\"cat\":\"hostalloc\",\"pid\":0,\"tid\":%u,\"ts\":%.3f,"
+            "\"cat\":\"%s\",\"pid\":0,\"tid\":%u,\"ts\":%.3f,"
             "\"args\":{\"rank\":%" PRIu32 ",\"size\":%" PRIu64
             ",\"detail\":%" PRIu64 "}}",
-            to_string(kind), static_cast<unsigned>(ev.smid), us(ev.t_ns),
-            ev.thread_rank, ev.size, ev.offset);
+            to_string(kind), marker_category(kind),
+            static_cast<unsigned>(ev.smid), us(ev.t_ns), ev.thread_rank,
+            ev.size, ev.offset);
         break;
     }
   }

@@ -37,6 +37,18 @@ void TraceRecorder::record(unsigned smid, TraceEvent ev) {
   ring.slots[idx] = ev;
 }
 
+void TraceRecorder::mark(gpu::ThreadCtx& ctx, EventKind kind,
+                         std::uint64_t size, std::uint64_t detail) {
+  if (!enabled()) return;
+  TraceEvent ev;
+  ev.kind = static_cast<std::uint8_t>(kind);
+  ev.t_ns = now_ns();
+  ev.size = size;
+  ev.offset = detail;
+  stamp_lane(ev, ctx);
+  record(ctx.smid(), ev);
+}
+
 void TraceRecorder::on_kernel_begin(unsigned grid_dim, unsigned block_dim) {
   kernel_seq_.fetch_add(1, std::memory_order_relaxed);
   if (!enabled()) return;

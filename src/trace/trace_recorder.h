@@ -8,6 +8,7 @@
 
 #include "gpu/launch_observer.h"
 #include "gpu/stats.h"
+#include "gpu/thread_ctx.h"
 #include "trace/trace_event.h"
 
 namespace gms::trace {
@@ -23,8 +24,8 @@ namespace gms::trace {
 /// fabricate free-before-malloc hazards).
 ///
 /// Recording is off until set_enabled(true); while disabled every caller
-/// (TracingManager, the observer callbacks) bails on one relaxed load.
-class TraceRecorder final : public gpu::LaunchObserver {
+/// (TracingManager, the launch callbacks, mark()) bails on one relaxed load.
+class TraceRecorder final : public gpu::LaunchObserver, public MarkerSink {
  public:
   struct Options {
     std::size_t ring_capacity = std::size_t{1} << 16;  ///< events per ring
@@ -54,6 +55,10 @@ class TraceRecorder final : public gpu::LaunchObserver {
   /// ring). Fills ev.seq and ev.kernel_seq; the caller fills the rest.
   /// Safe only from each ring's single producer thread.
   void record(unsigned smid, TraceEvent ev);
+
+  // ---- MarkerSink (lane markers from the +R, +W and host layers) --------
+  void mark(gpu::ThreadCtx& ctx, EventKind kind, std::uint64_t size,
+            std::uint64_t detail) override;
 
   // ---- gpu::LaunchObserver (markers) ------------------------------------
   void on_kernel_begin(unsigned grid_dim, unsigned block_dim) override;
@@ -87,5 +92,15 @@ class TraceRecorder final : public gpu::LaunchObserver {
   std::atomic<std::uint32_t> kernel_seq_{0};
   std::chrono::steady_clock::time_point epoch_;
 };
+
+/// Stamps the calling lane's geometry onto `ev`: every lane-scoped record
+/// (allocation events and markers alike) carries the same five fields.
+inline void stamp_lane(TraceEvent& ev, const gpu::ThreadCtx& ctx) {
+  ev.thread_rank = ctx.thread_rank();
+  ev.block = ctx.block_idx();
+  ev.smid = static_cast<std::uint8_t>(ctx.smid());
+  ev.lane = static_cast<std::uint8_t>(ctx.lane_id());
+  ev.warp = static_cast<std::uint8_t>(ctx.warp_in_block());
+}
 
 }  // namespace gms::trace

@@ -50,11 +50,7 @@ void* TracingManager::traced_malloc(gpu::ThreadCtx& ctx, std::size_t size,
   ev.offset = encode_offset(p);
   ev.atomics = saturate32(stats.atomic_total() - atomics0);
   ev.cas_failed = saturate32(stats.atomic_cas_failed - cas0);
-  ev.thread_rank = ctx.thread_rank();
-  ev.block = ctx.block_idx();
-  ev.smid = static_cast<std::uint8_t>(ctx.smid());
-  ev.lane = static_cast<std::uint8_t>(ctx.lane_id());
-  ev.warp = static_cast<std::uint8_t>(ctx.warp_in_block());
+  stamp_lane(ev, ctx);
   recorder_.record(ctx.smid(), ev);
   return p;
 }
@@ -91,11 +87,7 @@ void TracingManager::free(gpu::ThreadCtx& ctx, void* ptr) {
   ev.offset = offset;
   ev.atomics = saturate32(stats.atomic_total() - atomics0);
   ev.cas_failed = saturate32(stats.atomic_cas_failed - cas0);
-  ev.thread_rank = ctx.thread_rank();
-  ev.block = ctx.block_idx();
-  ev.smid = static_cast<std::uint8_t>(ctx.smid());
-  ev.lane = static_cast<std::uint8_t>(ctx.lane_id());
-  ev.warp = static_cast<std::uint8_t>(ctx.warp_in_block());
+  stamp_lane(ev, ctx);
   recorder_.record(ctx.smid(), ev);
 }
 
@@ -118,11 +110,7 @@ void TracingManager::warp_free_all(gpu::ThreadCtx& ctx) {
   ev.offset = kNullOffset;
   ev.atomics = saturate32(stats.atomic_total() - atomics0);
   ev.cas_failed = saturate32(stats.atomic_cas_failed - cas0);
-  ev.thread_rank = ctx.thread_rank();
-  ev.block = ctx.block_idx();
-  ev.smid = static_cast<std::uint8_t>(ctx.smid());
-  ev.lane = static_cast<std::uint8_t>(ctx.lane_id());
-  ev.warp = static_cast<std::uint8_t>(ctx.warp_in_block());
+  stamp_lane(ev, ctx);
   recorder_.record(ctx.smid(), ev);
 }
 

@@ -8,8 +8,10 @@
 
 #include <csignal>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
+#include "core/alloc_config.h"
 #include "core/registry.h"
 #include "service/alloc_service.h"
 #include "service/health.h"
@@ -74,17 +76,23 @@ void submit_waves(AllocService& svc, std::uint32_t tenants,
 // ---- admission policy -----------------------------------------------------
 
 TEST(QuotaSpec, ParsesAndRoundTrips) {
-  const auto q = service::QuotaSpec::parse(
-      "bytes=1048576,ops=500,bucket=64,refill=16,budget=256");
+  const auto& schema = service::QuotaSpec::config_schema();
+  const auto parse = [&](std::string_view braced) {
+    return schema.parse(core::parse_config_overrides(braced),
+                        service::QuotaSpec{});
+  };
+  const auto q =
+      parse("{bytes=1048576,ops=500,bucket=64,refill=16,budget=256}");
   EXPECT_EQ(q.byte_quota, 1048576u);
   EXPECT_EQ(q.op_quota, 500u);
   EXPECT_EQ(q.bucket_capacity, 64u);
   EXPECT_EQ(q.bucket_refill, 16u);
   EXPECT_EQ(q.round_budget_ops, 256u);
-  EXPECT_EQ(service::QuotaSpec::parse(q.to_string()).to_string(),
-            q.to_string());
-  EXPECT_THROW(service::QuotaSpec::parse("bites=1"), std::invalid_argument);
-  EXPECT_THROW(service::QuotaSpec::parse("bytes="), std::invalid_argument);
+  const auto text = core::format_config(schema.serialize(q));
+  EXPECT_EQ(core::format_config(schema.serialize(parse(text))), text);
+  EXPECT_THROW(parse("{bites=1}"), core::ConfigError);
+  EXPECT_THROW(parse("{bytes=}"), core::ConfigError);
+  EXPECT_THROW(parse("{ops=0x10}"), core::ConfigError);
 }
 
 TEST(ShardPolicyTest, DeterministicAndSaltSensitive) {

@@ -1,20 +1,26 @@
 // Trace subsystem tests (DESIGN.md §9): .gmtrace round-trip and strict read
 // validation, ring-overflow drop accounting (drop-never-overwrite), the
-// disabled-recorder fast path, and the replay determinism contract — the
+// disabled-recorder fast path, the replay determinism contract — the
 // canonical request stream of a replay is byte-identical to the recording's
-// regardless of the replay device's SM count.
+// regardless of the replay device's SM count — and the exact lane-marker
+// stream the "+R" and host-placement layers record through their
+// trace::MarkerSink.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "allocators/xmalloc.h"
 #include "core/registry.h"
+#include "core/stack_builder.h"
 #include "gpu/device.h"
+#include "hostalloc/stream_pool.h"
 #include "trace/trace_format.h"
 #include "trace/trace_recorder.h"
 #include "trace/trace_replay.h"
@@ -276,6 +282,125 @@ TEST(TraceReplay, SkipsFreesForNoFreeTargets) {
   EXPECT_EQ(result.mallocs, 128u);
   EXPECT_EQ(result.frees, 0u);
   EXPECT_EQ(result.skipped_frees, 128u);
+}
+
+// ---- lane markers ---------------------------------------------------------
+
+/// Marker count and first marker of each lane-marker kind in one recording.
+struct MarkerStream {
+  std::map<trace::EventKind, std::uint64_t> counts;
+  std::map<trace::EventKind, trace::TraceEvent> first;
+  std::uint64_t first_malloc_offset = trace::kNullOffset;
+};
+
+/// Records `spec` at 1 SM, where the lane interleaving and so the marker
+/// stream is exact: two churn rounds of 64-256 B requests, then two waves
+/// of 192 KiB per lane that overrun the heap, so retry, reserve fallback,
+/// breaker and unrecovered steps all fire. A StreamPool base also trims
+/// lane 0's stream in each free kernel.
+MarkerStream record_markers(const std::string& spec) {
+  Device dev(kHeapBytes + (8u << 20), GpuConfig{.num_sms = 1});
+  auto stack = core::StackBuilder(dev).build(spec, kHeapBytes);
+  auto* pool = dynamic_cast<hostalloc::StreamPool*>(stack.host);
+  stack.recorder->set_enabled(true);
+  constexpr std::size_t kThreads = 512;
+  std::vector<void*> ptrs(kThreads, nullptr);
+  for (unsigned round = 0; round < 4; ++round) {
+    dev.launch_n(kThreads, [&](ThreadCtx& t) {
+      const std::size_t size =
+          round < 2 ? 64 + (t.thread_rank() % 13) * 16 : std::size_t{192} << 10;
+      ptrs[t.thread_rank()] = stack.manager->malloc(t, size);
+    });
+    dev.launch_n(kThreads, [&](ThreadCtx& t) {
+      stack.manager->free(t, ptrs[t.thread_rank()]);
+      if (pool != nullptr && t.thread_rank() == 0) pool->trim(t);
+    });
+  }
+  stack.recorder->set_enabled(false);
+  dev.set_launch_observer(nullptr);
+  EXPECT_EQ(stack.recorder->dropped(), 0u);
+
+  MarkerStream out;
+  for (const auto& ev : stack.recorder->drain()) {
+    const auto kind = ev.event_kind();
+    if (kind == trace::EventKind::kMalloc && ev.offset != trace::kNullOffset &&
+        out.first_malloc_offset == trace::kNullOffset) {
+      out.first_malloc_offset = ev.offset;
+    }
+    if (!trace::is_resilience_event(kind) &&
+        !trace::is_host_placement_event(kind)) {
+      continue;
+    }
+    ++out.counts[kind];
+    out.first.try_emplace(kind, ev);
+  }
+  return out;
+}
+
+struct ExpectedMarker {
+  trace::EventKind kind;
+  std::uint64_t count;
+  std::uint64_t size;    ///< of the kind's first marker
+  std::uint64_t offset;  ///< of the kind's first marker
+};
+
+void expect_markers(const MarkerStream& got,
+                    const std::vector<ExpectedMarker>& want) {
+  EXPECT_EQ(got.counts.size(), want.size());
+  for (const auto& w : want) {
+    SCOPED_TRACE(trace::to_string(w.kind));
+    const auto it = got.first.find(w.kind);
+    ASSERT_NE(it, got.first.end());
+    EXPECT_EQ(got.counts.at(w.kind), w.count);
+    EXPECT_EQ(it->second.size, w.size);
+    EXPECT_EQ(it->second.offset, w.offset);
+  }
+}
+
+// Every lane-marker kind these stacks reach, pinned by exact count and by
+// the size/offset its EventKind documents, so a wrong kind or a swapped
+// field anywhere between a layer and the recorder fails here.
+TEST(LaneMarkers, ResilientHostStacksRecordExactStreams) {
+  using K = trace::EventKind;
+  constexpr std::uint64_t kWave = std::uint64_t{192} << 10;
+  // The reserve pool is the heap's tail (8% by default); its first block's
+  // payload sits past the inner heap and the block's 16-byte header.
+  constexpr std::uint64_t kReserveBlock =
+      kHeapBytes - kHeapBytes / 100 * 8 + 16;
+
+  const auto extent =
+      record_markers("trace>resilient>fault{mode=nth,n=7}>HostExtent");
+  expect_markers(
+      extent,
+      {
+          {K::kRetrySuccess, 222, 80, 1},          // request; winning attempt
+          {K::kFallbackAlloc, 40, kWave, kReserveBlock},  // request; offset
+          {K::kFallbackFree, 40, 0, kReserveBlock},       // the same block
+          {K::kBreakerTrip, 2, kWave, 16},  // request; failures at the trip
+          {K::kBreakerReset, 1, kWave, 0},
+          {K::kUnrecovered, 366, kWave, 0},
+          {K::kHostCarve, 1642, 256, 964864},  // granule-rounded; offset
+          {K::kHostCoalesce, 1552, 256, 1},    // merged bytes; merges
+      });
+  // A carve's offset is the payload the traced malloc returned.
+  EXPECT_EQ(extent.first.at(K::kHostCarve).offset, extent.first_malloc_offset);
+
+  const auto pool =
+      record_markers("trace>resilient>fault{mode=nth,n=5}>StreamPool");
+  expect_markers(
+      pool,
+      {
+          {K::kRetrySuccess, 323, 112, 1},
+          {K::kFallbackAlloc, 40, kWave, kReserveBlock},
+          {K::kFallbackFree, 40, 0, kReserveBlock},
+          {K::kBreakerTrip, 2, kWave, 16},
+          {K::kBreakerReset, 1, kWave, 0},
+          {K::kUnrecovered, 356, kWave, 0},
+          {K::kHostCarve, 1652, 256, 256},
+          {K::kHostStreamSync, 3, 130816, 0},  // bytes made global; stream
+          {K::kHostTrim, 3, 256, 0},           // bytes released; stream
+      });
+  EXPECT_EQ(pool.first.at(K::kHostCarve).offset, pool.first_malloc_offset);
 }
 
 }  // namespace

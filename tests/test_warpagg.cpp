@@ -44,11 +44,11 @@ namespace gms {
 namespace {
 
 using alloc_core::WarpAggregator;
-using core::AggEventKind;
 using core::WarpAggSpec;
 using gpu::Device;
 using gpu::GpuConfig;
 using gpu::ThreadCtx;
+using trace::EventKind;
 
 struct RegisterAllocators {
   RegisterAllocators() { core::register_all_allocators(); }
@@ -140,14 +140,14 @@ constexpr std::uint32_t kStormWork = 2500;
 /// with an EMA fixpoint (8 << 4 = 128) below exit_cost << 4 = 1280.
 constexpr std::uint32_t kCalmWork = 8;
 
-/// Observer recording the (kind, size-class) mode-switch sequence. Reserves
-/// upfront: on_agg_event runs on simulated lanes and must not take locks the
-/// tests then race against (all recording tests run at 1 SM = 1 worker).
-struct RecordingObserver final : core::AggregationObserver {
-  std::vector<std::pair<AggEventKind, std::uint64_t>> events;
-  RecordingObserver() { events.reserve(4096); }
-  void on_agg_event(ThreadCtx&, AggEventKind kind, std::uint64_t size,
-                    std::uint64_t) override {
+/// MarkerSink fake recording the (kind, size-class) marker sequence.
+/// Reserves upfront: mark() runs on simulated lanes and must not take locks
+/// the tests then race against (all recording tests run at 1 SM = 1 worker).
+struct RecordingSink final : trace::MarkerSink {
+  std::vector<std::pair<EventKind, std::uint64_t>> events;
+  RecordingSink() { events.reserve(4096); }
+  void mark(ThreadCtx&, EventKind kind, std::uint64_t size,
+            std::uint64_t) override {
     events.emplace_back(kind, size);
   }
 };
@@ -281,10 +281,9 @@ TEST(WarpAggAdaptiveTest, CalmManagerNeverArms) {
 // contract: hysteresis is structural (fresh spike required), not a margin.
 TEST(WarpAggAdaptiveTest, HysteresisEntersOnceExitsOnceNeverFlaps) {
   Device dev(64u << 20, GpuConfig{.num_sms = 1});
+  RecordingSink rec;
   auto [agg, stub] = make_stack(dev, test_spec(), stub_traits());
-  auto obs = std::make_unique<RecordingObserver>();
-  RecordingObserver* rec = obs.get();
-  agg->set_observer(std::move(obs));
+  agg->set_marker_sink(&rec);
 
   stub->set_work(kStormWork);
   churn(dev, *agg, 8);  // 2048 calls: arm + enter, slab serving
@@ -295,15 +294,15 @@ TEST(WarpAggAdaptiveTest, HysteresisEntersOnceExitsOnceNeverFlaps) {
   EXPECT_EQ(rep.switches_to_agg, 1u);
   EXPECT_EQ(rep.switches_to_pass, 1u);
   EXPECT_GT(rep.probes, 0u);
-  // The observer also sees kSlabRefill markers; the switch sequence is the
+  // The sink also sees kAggSlabRefill markers; the switch sequence is the
   // hysteresis contract.
-  std::vector<std::pair<AggEventKind, std::uint64_t>> switches;
-  for (const auto& e : rec->events) {
-    if (e.first != AggEventKind::kSlabRefill) switches.push_back(e);
+  std::vector<std::pair<EventKind, std::uint64_t>> switches;
+  for (const auto& e : rec.events) {
+    if (e.first != EventKind::kAggSlabRefill) switches.push_back(e);
   }
   ASSERT_EQ(switches.size(), 2u);
-  EXPECT_EQ(switches[0].first, AggEventKind::kModeAggregated);
-  EXPECT_EQ(switches[1].first, AggEventKind::kModePassthrough);
+  EXPECT_EQ(switches[0].first, EventKind::kAggModeAggregated);
+  EXPECT_EQ(switches[1].first, EventKind::kAggModePassthrough);
   EXPECT_EQ(switches[0].second, switches[1].second);  // same site
   EXPECT_FALSE(stub->saw_bad_free());
 }
@@ -313,23 +312,22 @@ TEST(WarpAggAdaptiveTest, HysteresisEntersOnceExitsOnceNeverFlaps) {
 // per-SM instrumentation counters, never wall clock, so two runs of one
 // scenario cannot diverge.
 TEST(WarpAggAdaptiveTest, ModeSwitchSequenceIsDeterministic) {
-  auto run = [](std::vector<std::pair<AggEventKind, std::uint64_t>>& events,
+  auto run = [](std::vector<std::pair<EventKind, std::uint64_t>>& events,
                 std::string& report) {
     Device dev(64u << 20, GpuConfig{.num_sms = 1});
+    RecordingSink rec;
     auto [agg, stub] = make_stack(dev, test_spec(), stub_traits());
-    auto obs = std::make_unique<RecordingObserver>();
-    RecordingObserver* rec = obs.get();
-    agg->set_observer(std::move(obs));
+    agg->set_marker_sink(&rec);
     stub->set_work(kStormWork);
     churn(dev, *agg, 8, 32);
     churn(dev, *agg, 8, 128);
     stub->set_work(kCalmWork);
     churn(dev, *agg, 64, 32);
     churn(dev, *agg, 64, 128);
-    events = rec->events;
+    events = rec.events;
     report = agg->report().to_string();
   };
-  std::vector<std::pair<AggEventKind, std::uint64_t>> ev1, ev2;
+  std::vector<std::pair<EventKind, std::uint64_t>> ev1, ev2;
   std::string rep1, rep2;
   run(ev1, rep1);
   run(ev2, rep2);
