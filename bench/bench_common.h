@@ -43,8 +43,8 @@ struct BenchArgs {
   std::string metric = "ms";
   /// --stack=SPEC: explicit decorator stack, outermost first, every token
   /// with optional "{k=v}" knobs — e.g. "fault{mode=nth,n=7}>validate"
-  /// (applied to every -t selection) or "warpagg{slab=16}>Halloc" (full
-  /// spec incl. base). See cell_stack() for how a cell's stack is folded.
+  /// (on top of every -t cell) or "warpagg{slab=16}>Halloc" (full spec
+  /// incl. base). See cell_stack() for how a cell's stack is folded.
   std::string stack;
   /// --config "{k=v,...}": base-allocator config overrides applied to every
   /// -t cell (and to a --stack spec without its own "{...}" suffix). Keys
@@ -64,8 +64,8 @@ struct BenchArgs {
   /// --watchdog-ms=N: cancel a launch after N ms without scheduler progress
   /// (0 = off). Surfaces as the paper's "timed out / unstable" outcome.
   double watchdog_ms = 0;
-  /// bench_table1 --measure-stability: churn each manager under its
-  /// validated twin + watchdog and compare the measured outcome against the
+  /// bench_table1 --measure-stability: churn each manager under a validate
+  /// stage + watchdog and compare the measured outcome against the
   /// paper-reported `stable` trait.
   bool measure_stability = false;
   /// --json FILE: machine-readable output (bench_simt writes BENCH_simt.json
@@ -139,19 +139,17 @@ struct BenchArgs {
   [[nodiscard]] std::size_t heap_bytes() const { return mem_mb << 20; }
 };
 
-/// The one stack a -t cell runs: the --stack spec (a stage-only spec takes
-/// the cell, "{k=v}" suffix included, as its base), --config on a base
-/// without its own "{...}", and a trace stage in front whenever --trace
-/// names a file and the spec has none.
+/// The one stack a -t cell runs. The cell is itself a spec ("Halloc+V",
+/// "XMalloc{num_classes=11}"); a stage-only --stack goes on top of its
+/// stages, so a stage given both ways is the parser's duplicate-stage
+/// error, and a --stack with its own base replaces the cell. --config
+/// applies to a base without its own "{...}", and a trace stage goes in
+/// front whenever --trace names a file and the spec has none.
 inline core::StackSpec cell_stack(const BenchArgs& args,
                                   const std::string& name) {
   core::StackSpec spec =
-      args.stack.empty() ? core::StackSpec{} : core::StackSpec::parse(args.stack);
-  if (spec.base.empty()) {
-    const auto [base, braced] = core::split_config_suffix(name);
-    spec.base = std::string(base);
-    spec.base_config = core::parse_config_overrides(braced);
-  }
+      core::StackSpec::parse(args.stack.empty() ? name : args.stack);
+  if (spec.base.empty()) spec = core::StackSpec::parse(args.stack + ">" + name);
   if (!args.config.empty() && spec.base_config.empty()) {
     spec.base_config = core::parse_config_overrides(args.config);
   }
@@ -280,16 +278,19 @@ inline BenchArgs parse_args(int argc, char** argv,
       args.shed_policy = need(i);
     } else if (flag == "-h" || flag == "--help") {
       std::cout
-          << "common flags: -t o+s+h+c+r+x | name,name  --mem-mb N  "
+          << "common flags: -t o+s+h+c+r+x | SPEC,SPEC  --mem-mb N  "
              "--threads N  --iters N  --sms N  --csv file  --warp  "
              "--range LO-HI  --timeout-s S  --phase init|update|all  "
              "--scale N  --max-exp N  --stack SPEC  "
              "--config \"{k=v,...}\"  --watchdog-ms N  --json FILE  "
              "--trace FILE.gmtrace  --chrome FILE  --occupancy FILE\n"
              "stack SPECs: '>'-separated stages outermost first from "
-             "{trace, fault, validate, warpagg, resilient}, optionally "
-             "ending in a base allocator name (else applied to each -t "
-             "selection); every token takes \"{k=v,...}\" knobs, e.g. "
+             "{trace, fault, validate, warpagg, resilient}, ending in a base "
+             "allocator name whose +V, +R and +W suffixes are the validate, "
+             "resilient and warpagg stages directly above it (Halloc+R+V = "
+             "validate>resilient>Halloc). Each -t cell is a SPEC; a --stack "
+             "without a base goes on top of every cell, one with a base "
+             "replaces them. Every token takes \"{k=v,...}\" knobs, e.g. "
              "resilient{retries=2}>fault{mode=nth,n=7}>"
              "ScatterAlloc{page_size=8192}\n"
              "stage knobs: fault{mode=none|nth|prob|budget,n=N,p=P,seed=S,"
@@ -352,30 +353,31 @@ inline std::string tagged_path(const std::string& path, std::string tag) {
   return path.substr(0, dot) + "." + tag + path.substr(dot);
 }
 
-/// The -t cell that runs `name` as its registered "+V" validated twin,
-/// keeping any "{k=v}" suffix ("XMalloc{num_classes=11}" becomes
-/// "XMalloc+V{num_classes=11}"). A --stack that names a base or a
-/// validate, resilient or warpagg stage wins: the name comes back unchanged
-/// and the stack decides which stages run. Stacks of the transparent trace
-/// and fault observers alone (bench_survey's soak rounds) keep the twin.
-inline std::string validated_cell(const BenchArgs& args,
-                                  const std::string& name) {
+/// The stack that runs a -t cell validated: cell_stack with a validate
+/// stage directly above the cell's own stages ("XMalloc{num_classes=11}"
+/// runs as "validate>XMalloc{num_classes=11}", "Halloc+R" as "Halloc+R+V").
+/// A cell that already validates, or a --stack that names a base or a
+/// validate, resilient or warpagg stage, wins: the stack comes back as
+/// cell_stack gives it. Stacks of the transparent trace and fault
+/// observers alone (bench_survey's soak rounds) still get the validator.
+inline core::StackSpec validated_cell(const BenchArgs& args,
+                                      const std::string& name) {
   using Stage = core::StackSpec::Stage;
-  const auto [base, braced] = core::split_config_suffix(name);
+  const core::StackSpec spec = cell_stack(args, name);
+  if (spec.has(Stage::kValidate)) return spec;
   if (!args.stack.empty()) {
     const auto stack = core::StackSpec::parse(args.stack);
-    if (!stack.base.empty() || stack.has(Stage::kValidate) ||
-        stack.has(Stage::kResilient) || stack.has(Stage::kWarpAgg)) {
-      return name;
+    if (!stack.base.empty() || stack.has(Stage::kResilient) ||
+        stack.has(Stage::kWarpAgg)) {
+      return spec;
     }
   }
-  if (base.find("+V") != std::string_view::npos) return name;
-  return std::string(base) + "+V" + std::string(braced);
+  return cell_stack(args, "validate>" + name);
 }
 
 /// Builds a fresh device + manager for one measurement (cold start parity
-/// across managers, as the paper's per-test processes provide). Applies the
-/// robustness decorator stack requested on the CLI (cell_stack), e.g.
+/// across managers, as the paper's per-test processes provide). Builds the
+/// cell's stack (cell_stack, or a spec the bench folded itself), e.g.
 /// TracingManager( FaultInjector( ValidatingManager( inner ) ) ) — faults
 /// are injected above the validator so an injected nullptr never reaches
 /// redzone bookkeeping, and the tracer sits outermost so a recorded stream
@@ -384,6 +386,9 @@ inline std::string validated_cell(const BenchArgs& args,
 class ManagedDevice {
  public:
   ManagedDevice(const BenchArgs& args, const std::string& name)
+      : ManagedDevice(args, cell_stack(args, name)) {}
+
+  ManagedDevice(const BenchArgs& args, const core::StackSpec& spec)
       : device_(std::make_unique<gpu::Device>(
             args.heap_bytes() + (8u << 20),
             gpu::GpuConfig{
@@ -391,8 +396,7 @@ class ManagedDevice {
                 .lane_stack_bytes = 32 * 1024,
                 .watchdog_ms = args.watchdog_ms})) {
     heap_bytes_ = args.heap_bytes();
-    auto stack = core::StackBuilder(*device_).build(cell_stack(args, name),
-                                                    args.heap_bytes());
+    auto stack = core::StackBuilder(*device_).build(spec, args.heap_bytes());
     mgr_ = std::move(stack.manager);
     recorder_ = std::move(stack.recorder);
     validator_ = stack.validator;

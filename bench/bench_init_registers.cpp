@@ -15,10 +15,13 @@ int main(int argc, char** argv) {
   for (const auto& name : args.allocators) {
     std::vector<double> init_times;
     double atomics_per_malloc = 0, atomics_per_free = 0;
+    unsigned malloc_state_bytes = 0, free_state_bytes = 0;
     for (unsigned i = 0; i < args.iters; ++i) {
       bench::ManagedDevice md(args, name);
       init_times.push_back(md.mgr().init_ms());
       if (i == 0) {
+        malloc_state_bytes = md.mgr().traits().malloc_state_bytes;
+        free_state_bytes = md.mgr().traits().free_state_bytes;
         work::AllocPerfParams params;
         params.num_allocs = 4'096;
         params.size = 64;
@@ -32,11 +35,10 @@ int main(int argc, char** argv) {
             static_cast<double>(params.num_allocs);
       }
     }
-    const auto& traits = core::Registry::instance().find(name)->traits;
     const auto summary = core::TimingSummary::of(init_times);
     table.add_row({name, core::ResultTable::fmt_ms(summary.mean_ms),
-                   std::to_string(traits.malloc_state_bytes),
-                   std::to_string(traits.free_state_bytes),
+                   std::to_string(malloc_state_bytes),
+                   std::to_string(free_state_bytes),
                    core::ResultTable::fmt(atomics_per_malloc, 2),
                    core::ResultTable::fmt(atomics_per_free, 2)});
   }

@@ -275,8 +275,9 @@ int main(int argc, char** argv) {
     std::cout << "(occupancy csv written to " << args.occupancy << ")\n";
   }
 
-  // Default population: the allocator the trace came from. An explicit -t
-  // replays against anything registered.
+  // Default population: the stack the trace came from, rebuilt from the
+  // header's identity ("ScatterAlloc+R+V") whenever it parses to a
+  // registered base. An explicit -t replays against anything registered.
   std::vector<std::string> targets = args.allocators;
   bool explicit_targets = false;
   for (int i = 1; i < argc; ++i) {
@@ -288,8 +289,13 @@ int main(int argc, char** argv) {
   }
   if (!explicit_targets) {
     const std::string source = src.header.allocator_name();
-    if (core::Registry::instance().find(source) != nullptr) {
-      targets = {source};
+    try {
+      if (core::Registry::instance().find(
+              core::StackSpec::parse(source).base) != nullptr) {
+        targets = {source};
+      }
+    } catch (const std::invalid_argument&) {
+      // Not a spec ("service:..." marker logs): keep the default population.
     }
   }
 

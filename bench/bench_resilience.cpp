@@ -1,11 +1,11 @@
 // Failure-recovery A/B: every base allocator against its "+R" resilient
-// twin (ResilientManager, DESIGN.md §11) under the warp-agg convergent
+// stack (ResilientManager, DESIGN.md §11) under the warp-agg convergent
 // churn, then once more with a deterministic fault injector stacked between
 // the recovery layer and the base ("resilient>fault{mode=nth,n=97}>NAME")
 // so the retry / reserve-fallback / circuit-breaker chain demonstrably
 // absorbs failures the base would surface as nullptr.
 //
-// The headline acceptance column is "+R unrecovered": the resilient twin
+// The headline acceptance column is "+R unrecovered": the resilient stack
 // must report ZERO unrecovered allocation failures for every manager, churn
 // and fault rounds alike, and the binary exits non-zero otherwise — this is
 // the robustness contract CI enforces. Emits BENCH_resilience.json.
@@ -81,14 +81,8 @@ CellResult run_cell(const bench::BenchArgs& args, const std::string& spec,
     res.rep = stack.resilient->report();
     res.resilient = true;
   }
-  // Unwrap to the base allocator (resilient and fault layers both expose
-  // inner()) for the Ouroboros page-leak audit.
-  core::MemoryManager* base_mgr = stack.manager.get();
-  if (stack.resilient != nullptr) base_mgr = &stack.resilient->inner();
-  if (auto* fi = dynamic_cast<core::FaultInjector*>(base_mgr)) {
-    base_mgr = &fi->inner();
-  }
-  if (auto* ouro = dynamic_cast<alloc::Ouroboros*>(base_mgr)) {
+  // The Ouroboros page-leak audit reads the base under every layer.
+  if (auto* ouro = dynamic_cast<alloc::Ouroboros*>(stack.base)) {
     res.leaked_pages = static_cast<std::int64_t>(ouro->leaked_pages_host());
   }
   return res;
@@ -109,8 +103,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> bases;
   for (const auto& name : args.allocators) {
-    const auto* entry = core::Registry::instance().find(name);
-    if (entry == nullptr || entry->traits.decorated) continue;
+    if (core::Registry::instance().find(name) == nullptr) continue;
     bases.push_back(name);
   }
 
@@ -199,7 +192,7 @@ int main(int argc, char** argv) {
   }
 
   bench::emit(table, args,
-              "Failure recovery — base vs \"+R\" twin, warp-agg churn + "
+              "Failure recovery — base vs \"+R\" stack, warp-agg churn + "
               "fault round (" + fault + "), " +
                   std::to_string(rounds) + " rounds/lane");
   if (!args.json.empty()) json.write(args.json);

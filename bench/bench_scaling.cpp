@@ -36,13 +36,12 @@ int main(int argc, char** argv) {
       const std::size_t threads = std::size_t{1} << exp;
       std::vector<std::string> row{std::to_string(threads)};
       for (std::size_t a = 0; a < args.allocators.size(); ++a) {
-        const auto* entry =
-            core::Registry::instance().find(args.allocators[a]);
         auto& record = json.add_case()
                            .str("name", args.allocators[a])
-                           .str("placement", entry->traits.host_based
-                                                 ? "host-based"
-                                                 : "device-side")
+                           .str("placement",
+                                devices[a]->mgr().traits().host_based
+                                    ? "host-based"
+                                    : "device-side")
                            .num("size", size)
                            .num("threads", threads);
         work::AllocPerfParams params;

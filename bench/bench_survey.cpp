@@ -8,7 +8,9 @@
 // persistently-bad cells in results/quarantine.json (skipped next sweep
 // unless --retry-quarantined). --hostile adds the deliberately misbehaving
 // stub allocators to demonstrate the containment.
+#include <algorithm>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -24,6 +26,11 @@
 namespace {
 
 using namespace gms;
+
+/// The deliberately misbehaving managers --hostile adds. They run bare:
+/// their crash, hang and corruption are the containment under test.
+constexpr const char* kHostileStubs[] = {"CrashStub", "HangStub",
+                                         "CorruptStub"};
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -56,23 +63,26 @@ struct AuditTally {
 };
 
 /// Builds the per-cell device + manager inside the forked child. When
-/// `prefer_twin`, the cell runs the manager's registered "+V" validated twin
-/// (redzones, shadow bitmap) when one exists, so heap damage surfaces as
-/// validation errors rather than silent misbehaviour. The oom cell opts out:
-/// exhaustion-scale allocation counts overflow the validator's live-pointer
-/// table (a harness capacity limit, not corruption), and the twin's
-/// per-block redzone overhead would distort the utilisation data anyway.
+/// `validate`, a registered manager runs under a validate stage (redzones,
+/// shadow bitmap; bench::validated_cell), so heap damage surfaces as
+/// validation errors rather than silent misbehaviour; the hostile stubs
+/// run bare. The oom cell opts out: exhaustion-scale allocation counts
+/// overflow the validator's live-pointer table (a harness capacity limit,
+/// not corruption), and the per-block redzone overhead would distort the
+/// utilisation data anyway.
 bench::ManagedDevice make_cell_device(const bench::BenchArgs& args,
                                       const std::string& name,
-                                      bool prefer_twin) {
+                                      bool validate) {
   bench::BenchArgs local = args;
   // Capture is failure-only here: with_failure_trace writes the trace for
   // doomed cells; a clean cell's recording is discarded at teardown.
   local.trace_auto_write = false;
-  const bool twin =
-      prefer_twin && core::Registry::instance().find(name + "+V") != nullptr;
-  return bench::ManagedDevice(local,
-                              twin ? bench::validated_cell(args, name) : name);
+  const auto* const stubs_end = std::end(kHostileStubs);
+  if (!validate ||
+      std::find(std::begin(kHostileStubs), stubs_end, name) != stubs_end) {
+    return bench::ManagedDevice(local, name);
+  }
+  return bench::ManagedDevice(local, bench::validated_cell(local, name));
 }
 
 /// Returns empty when the validation report is clean (or no validator is
@@ -118,7 +128,7 @@ core::CellOutcome with_failure_trace(bench::ManagedDevice& md,
 /// survey runner exists to enforce.
 core::CellOutcome churn_cell(const bench::BenchArgs& args,
                              const std::string& name) {
-  auto md = make_cell_device(args, name, /*prefer_twin=*/true);
+  auto md = make_cell_device(args, name, /*validate=*/true);
   return with_failure_trace(md, name + "-churn", [&]() -> core::CellOutcome {
   auto& mgr = md.mgr();
   const std::size_t threads = args.threads != 0 ? args.threads : 2048;
@@ -168,7 +178,7 @@ core::CellOutcome churn_cell(const bench::BenchArgs& args,
 
 core::CellOutcome frag_cell(const bench::BenchArgs& args,
                             const std::string& name) {
-  auto md = make_cell_device(args, name, /*prefer_twin=*/true);
+  auto md = make_cell_device(args, name, /*validate=*/true);
   return with_failure_trace(md, name + "-frag", [&]() -> core::CellOutcome {
   const std::size_t threads = args.threads != 0 ? args.threads : 2048;
   const unsigned iters = args.iters != 0 ? args.iters : 2;
@@ -186,7 +196,7 @@ core::CellOutcome frag_cell(const bench::BenchArgs& args,
 
 core::CellOutcome oom_cell(const bench::BenchArgs& args,
                            const std::string& name) {
-  auto md = make_cell_device(args, name, /*prefer_twin=*/false);
+  auto md = make_cell_device(args, name, /*validate=*/false);
   return with_failure_trace(md, name + "-oom", [&]() -> core::CellOutcome {
   const std::size_t threads = args.threads != 0 ? args.threads : 1024;
   AuditTally tally;
@@ -284,8 +294,17 @@ int run_soak(const bench::BenchArgs& args,
           std::cout << "  no trace to minimize (" << e.what() << ")\n";
           continue;
         }
-        const std::string stack =
-            (workload == "oom" ? "resilient>" : "resilient>validate>") + name;
+        // The cell under resilient and (outside oom) validate stages, each
+        // added only where the cell's own spec has none.
+        using Stage = core::StackSpec::Stage;
+        core::StackSpec spec = core::StackSpec::parse(name);
+        for (const Stage s : {Stage::kValidate, Stage::kResilient}) {
+          if (spec.has(s) || (s == Stage::kValidate && workload == "oom")) {
+            continue;
+          }
+          spec.stages.insert(spec.stages.begin(), {s, {}});
+        }
+        const std::string stack = spec.to_string();
         const auto oracle = [&](const trace::Trace& t) {
           return runner.probe_cell([&]() -> core::CellOutcome {
             return bench::replay_verdict_cell(t, stack, args.num_sms);
@@ -369,7 +388,7 @@ int main(int argc, char** argv) {
   }
   if (args.hostile) {
     core::register_stub_allocators();
-    for (const char* stub : {"CrashStub", "HangStub", "CorruptStub"}) {
+    for (const char* stub : kHostileStubs) {
       args.allocators.emplace_back(stub);
     }
   }

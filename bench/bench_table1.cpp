@@ -2,7 +2,7 @@
 // manager, generated from the registry traits instead of hand-maintained.
 //
 // --measure-stability re-derives the "Stable" column experimentally: each
-// manager is churned under its validated "+V" twin with the launch watchdog
+// manager is churned under a validate stage ("+V") with the launch watchdog
 // armed, and the observed outcome (ok / corrupt / timeout / crash) is put
 // next to the paper's reported value. The two need not agree — the paper
 // tested real CUDA builds, we test the reimplementations — which is exactly
@@ -22,12 +22,20 @@ const char* placement_of(const gms::core::AllocatorTraits& t) {
   return t.host_based ? "host-based" : "device-side";
 }
 
+/// The registry entry of a -t cell's base ("Halloc" for "Halloc+V");
+/// parse_args has checked that it exists.
+const gms::core::RegistryEntry& base_entry(const gms::bench::BenchArgs& args,
+                                           const std::string& name) {
+  return *gms::core::Registry::instance().find(
+      gms::bench::cell_stack(args, name).base);
+}
+
 int measure_stability(const gms::bench::BenchArgs& args) {
   using namespace gms;
   core::ResultTable table(
       {"Short Name", "Paper Stable", "Measured", "Agrees"});
   for (const auto& name : args.allocators) {
-    const auto* entry = core::Registry::instance().find(name);
+    const auto& entry = base_entry(args, name);
     bench::BenchArgs sub = args;
     if (sub.watchdog_ms <= 0) sub.watchdog_ms = sub.timeout_s * 1000.0;
     std::string measured;
@@ -48,7 +56,7 @@ int measure_stability(const gms::bench::BenchArgs& args) {
     } catch (const std::exception&) {
       measured = "crash";
     }
-    const bool paper_stable = entry->traits.stable;
+    const bool paper_stable = entry.traits.stable;
     const bool measured_ok = measured == "ok";
     table.add_row({name, paper_stable ? "yes" : "no", measured,
                    paper_stable == measured_ok ? "yes" : "NO"});
@@ -72,8 +80,7 @@ int main(int argc, char** argv) {
   core::BenchJson json("table1");
   json.meta().num("managers", args.allocators.size());
   for (const auto& name : args.allocators) {
-    const auto* entry = core::Registry::instance().find(name);
-    const auto& t = entry->traits;
+    const auto& t = base_entry(args, name).traits;
     auto yn = [](bool b) { return std::string(b ? "yes" : "no"); };
     table.add_row({std::string(t.name), std::to_string(t.year),
                    std::string(t.family), placement_of(t),

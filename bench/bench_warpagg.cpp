@@ -1,6 +1,6 @@
 // Warp-aggregation A/B: every general-purpose base allocator against its
-// registered "+W" twin (adaptive WarpAggregator, DESIGN.md §12) under three
-// churn regimes:
+// warpagg stack "Name+W" (adaptive WarpAggregator, DESIGN.md §12) under
+// three churn regimes:
 //
 //  * convergent — all 32 lanes allocate the same size together: aggregation's
 //    best case, and the regime the adaptive sampler must WIN everywhere (an
@@ -107,9 +107,7 @@ CellResult run_cell_once(const bench::BenchArgs& args, const std::string& spec,
       static_cast<std::uint64_t>(args.num_sms) * 4 * 256 / gpu::kWarpSize;
   res.mallocs = warps * per_warp;
   res.failed = failed.load();
-  auto* base_mgr = stack.aggregator != nullptr ? &stack.aggregator->inner()
-                                               : stack.manager.get();
-  if (auto* ouro = dynamic_cast<alloc::Ouroboros*>(base_mgr)) {
+  if (auto* ouro = dynamic_cast<alloc::Ouroboros*>(stack.base)) {
     res.leaked_pages = ouro->leaked_pages_host();
   }
   res.atomics = stats.counters.atomic_total();
@@ -122,7 +120,7 @@ CellResult run_cell_once(const bench::BenchArgs& args, const std::string& spec,
 
 /// Best-of-N wall clock with PAIRED reps (fresh device per attempt,
 /// cold-start parity kept): each rep times the base and immediately after
-/// it the "+W" twin, so a slow host phase — frequency throttling, page
+/// it the "+W" stack, so a slow host phase — frequency throttling, page
 /// reclaim, another tenant — lands on both sides of the A/B instead of
 /// biasing one. Counters/reports come from each side's fastest rep.
 ///
@@ -176,14 +174,12 @@ int main(int argc, char** argv) {
   double gate = args.min_speedup;
   if (args.smoke && gate == 0) gate = 0.75;
 
-  // Population: general-purpose bases that have a registered "+W" twin
-  // (warp-scoped managers like FDGMalloc have no individual free to
-  // aggregate over).
+  // Population: general-purpose bases (warp-scoped managers like FDGMalloc
+  // have no individual free to aggregate over).
   std::vector<std::string> bases;
   for (const auto& name : args.allocators) {
     const auto* entry = core::Registry::instance().find(name);
     if (entry == nullptr || !entry->traits.general_purpose) continue;
-    if (core::Registry::instance().find(name + "+W") == nullptr) continue;
     bases.push_back(name);
   }
 
@@ -292,7 +288,7 @@ int main(int argc, char** argv) {
   }
 
   bench::emit(table, args,
-              "Warp aggregation — base vs adaptive \"+W\" twin (" +
+              "Warp aggregation — base vs adaptive \"+W\" stack (" +
                   warpagg + "), " + std::to_string(rounds) + " rounds/lane");
   if (!args.json.empty()) json.write(args.json);
   if (gate_failed) {

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "core/registry.h"
+#include "core/stack_builder.h"
 #include "core/utils.h"
 #include "gpu/device.h"
 #include "workloads/alloc_perf.h"
@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
   for (const auto& name :
        core::Registry::instance().names(/*general_purpose_only=*/true)) {
     gpu::Device device(256u << 20);
-    auto mgr = core::Registry::instance().make(name, device, 192u << 20);
+    auto stack = core::StackBuilder(device).build(name, 192u << 20);
+    auto& mgr = stack.manager;
     work::AllocPerfParams params;
     params.num_allocs = threads;
     params.size_min = 4;

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/registry.h"
+#include "core/stack_builder.h"
 #include "workloads/graph.h"
 #include "workloads/graph_workload.h"
 
@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
               graph.num_edges(), graph.max_degree());
 
   gpu::Device device(512u << 20);
-  auto manager = core::Registry::instance().make(name, device, 384u << 20);
+  auto stack = core::StackBuilder(device).build(name, 384u << 20);
+  auto& manager = stack.manager;
   work::DynGraph dyn(device, *manager);
 
   const double init_ms = dyn.init(graph);

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "core/registry.h"
+#include "core/stack_builder.h"
 #include "gpu/device.h"
 
 int main(int argc, char** argv) {
@@ -19,7 +19,10 @@ int main(int argc, char** argv) {
   // governing 96 MiB of it. Swapping the name swaps the whole allocator —
   // the survey framework's central usability promise (§3).
   gpu::Device device(128u << 20);
-  auto manager = core::Registry::instance().make(name, device, 96u << 20);
+  // The name is a stack spec: "Halloc+V" or "validate>Halloc" adds the
+  // validate stage. `stack` owns every layer (and a trace stage's recorder).
+  auto stack = core::StackBuilder(device).build(name, 96u << 20);
+  auto& manager = stack.manager;
   std::printf("allocator : %s (%s, %d)\n", name.c_str(),
               std::string(manager->traits().family).c_str(),
               manager->traits().year);

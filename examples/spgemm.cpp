@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/registry.h"
+#include "core/stack_builder.h"
 #include "workloads/spgemm.h"
 
 int main(int argc, char** argv) {
@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
               a.nnz(), b.rows, b.cols, b.nnz());
 
   gpu::Device device(512u << 20);
-  auto mgr = core::Registry::instance().make(name, device, 384u << 20);
+  auto stack = core::StackBuilder(device).build(name, 384u << 20);
+  auto& mgr = stack.manager;
 
   auto result = work::run_spgemm(device, *mgr, a, b);
   std::printf("[%s] C = A*B: %.3f ms, %llu nnz, %llu failed rows\n",

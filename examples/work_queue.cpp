@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/registry.h"
+#include "core/stack_builder.h"
 #include "core/utils.h"
 #include "gpu/device.h"
 #include "workloads/workgen.h"
@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   const std::size_t threads = argc > 2 ? std::stoull(argv[2]) : 32'768;
 
   gpu::Device device(256u << 20);
-  auto manager = core::Registry::instance().make(name, device, 192u << 20);
+  auto stack = core::StackBuilder(device).build(name, 192u << 20);
+  auto& manager = stack.manager;
 
   // --- dynamic-memory producer/consumer ------------------------------------
   struct WorkBuffer {

@@ -106,7 +106,7 @@ if [[ $SMOKE -eq 1 ]]; then
   run "$R"/smoke_warpagg.txt   bench_warpagg -t CUDA,Halloc,ScatterAlloc,Ouro-P-VA \
                                --smoke --sms 32 --iters 32 --json BENCH_warpagg.json
   # Failure-recovery A/B on a representative subset (full matrix in the
-  # non-smoke sweep): base vs "+R" twin plus a fault round; exits non-zero
+  # non-smoke sweep): base vs "+R" stack plus a fault round; exits non-zero
   # if any resilient run leaks an unrecovered allocation failure.
   run "$R"/smoke_resilience.txt bench_resilience -t ScatterAlloc,Halloc,Ouro-P-S \
                                --sms 8 --iters 8 --json BENCH_resilience.json
@@ -147,14 +147,14 @@ run "$R"/replay.txt           bench_replay --trace "$R"/reference.ScatterAlloc.g
                               -t ScatterAlloc,Ouro-P-VA,Halloc,XMalloc,HostExtent,HostBuddy,StreamPool \
                               --json BENCH_replay.json \
                               --chrome "$R"/reference.chrome.json --occupancy "$R"/reference.occupancy.csv
-# Warp-aggregation A/B over every general-purpose base vs its "+W" twin
+# Warp-aggregation A/B over every general-purpose base vs its "+W" stack
 # (DESIGN.md §12): wall ms + atomics-per-malloc at the recorded contention
 # point. BENCH_warpagg.json is a perf-trajectory file like BENCH_simt.json.
 # 9 reps: the speedup is the median of per-rep A/B ratios, and on a
 # quota-throttled 1-core host the per-rep spread is wide enough that 5
 # reps still let stall-struck tails through (EXPERIMENTS.md).
 run "$R"/warpagg.txt          bench_warpagg --sms 32 --iters 32 --reps 9 --json BENCH_warpagg.json
-# Failure-recovery A/B over every base manager vs its "+R" resilient twin
+# Failure-recovery A/B over every base manager vs its "+R" resilient stack
 # (DESIGN.md §11) at the warp-agg contention point, plus a fault-injected
 # round; BENCH_resilience.json is a perf/recovery trajectory file.
 run "$R"/resilience.txt       bench_resilience --sms 32 --iters 32 --json BENCH_resilience.json

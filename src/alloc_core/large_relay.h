@@ -20,7 +20,7 @@ namespace gms::alloc_core {
 ///
 /// The counters use plain std::atomic, not the instrumented ctx.atomic_*
 /// wrappers: relay bookkeeping must not inflate the inner allocator's
-/// measured atomics (same rule as the validating twin's own metadata).
+/// measured atomics (same rule as the validate stage's own metadata).
 class LargeRequestRelay {
  public:
   LargeRequestRelay() = default;  ///< disengaged: malloc fails, owns() false

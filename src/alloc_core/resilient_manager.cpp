@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/stack_spec.h"
 #include "core/utils.h"
 
 namespace gms::alloc_core {
@@ -30,26 +31,21 @@ ResilientManager::ResilientManager(gpu::Device& dev, std::size_t heap_bytes,
                heap_bytes - inner_heap_bytes_),
       sites_(std::make_unique<Site[]>(kSites)) {
   assert(heap_bytes > 2 * reserve_slice(heap_bytes, spec) &&
-         "heap too small for a resilient twin");
+         "heap too small for a resilient stage");
   const core::Stopwatch sw;
   sites_map_ = SizeClassMap::geometric(SizeClassMap::kGranule,
                                        SizeClassMap::kMaxClasses);
   inner_ = make_inner(dev, inner_heap_bytes_);
-  name_ = std::string(inner_->traits().name) + "+R";
-  traits_ = decorate_traits(inner_->traits());
+  name_ = std::string(inner_->traits().name);
+  name_ += core::StackSpec::suffix(core::StackSpec::Stage::kResilient);
+  traits_ = inner_->traits();
   traits_.name = name_;
-  init_ms_ = sw.elapsed_ms();
-}
-
-core::AllocatorTraits ResilientManager::decorate_traits(
-    core::AllocatorTraits t) {
-  t.decorated = true;
   // The escalation chain adds a handful of locals to the hot path only when
   // the inner manager has already failed; the happy path carries the site
   // lookup and one relaxed breaker load.
-  t.malloc_state_bytes += 24;
-  t.free_state_bytes += 8;
-  return t;
+  traits_.malloc_state_bytes += 24;
+  traits_.free_state_bytes += 8;
+  init_ms_ = sw.elapsed_ms();
 }
 
 unsigned ResilientManager::site_for(std::size_t size) const {

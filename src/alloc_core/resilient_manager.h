@@ -68,10 +68,6 @@ class ResilientManager final : public core::MemoryManager {
   /// Host-side only; never swap sinks while kernels run.
   void set_marker_sink(trace::MarkerSink* sink) { sink_ = sink; }
 
-  /// Twin-trait derivation from the cached base traits (no probe), the
-  /// ValidatingManager/WarpAggregator pattern. The caller renames.
-  static core::AllocatorTraits decorate_traits(core::AllocatorTraits t);
-
  private:
   /// One breaker per size-class site (last slot: larger-than-ladder).
   struct alignas(64) Site {

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "alloc_core/size_class_map.h"
+#include "core/stack_spec.h"
 
 namespace gms::alloc_core {
 
@@ -23,19 +24,15 @@ constexpr std::size_t kMinWindow = 16u * 1024;
 
 }  // namespace
 
-core::AllocatorTraits WarpAggregator::decorate_traits(core::AllocatorTraits t) {
-  t.decorated = true;
-  // Lane spans are header-free (slab descriptors live at the window base and
-  // per-lane fallbacks forward requests verbatim), so unlike the validating
-  // twin there is no per-allocation pad and max_direct_size is preserved.
-  return t;
-}
-
 WarpAggregator::WarpAggregator(std::unique_ptr<core::MemoryManager> inner,
                                const core::WarpAggSpec& spec, gpu::Device& dev)
     : inner_(std::move(inner)), spec_(spec) {
-  name_ = std::string(inner_->traits().name) + "+W";
-  traits_ = decorate_traits(inner_->traits());
+  name_ = std::string(inner_->traits().name);
+  name_ += core::StackSpec::suffix(core::StackSpec::Stage::kWarpAgg);
+  // Lane spans are header-free (slab descriptors live at the window base and
+  // per-lane fallbacks forward requests verbatim), so unlike the validate
+  // stage there is no per-allocation pad and max_direct_size is preserved.
+  traits_ = inner_->traits();
   traits_.name = name_;
   init_ms_ = inner_->init_ms();
 

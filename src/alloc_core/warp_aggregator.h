@@ -13,7 +13,8 @@
 namespace gms::alloc_core {
 
 /// Adaptive warp-aggregation adapter (the paper's §4 warp-cooperation
-/// analysis, generalised): the "+W" twins. Two serving paths per request:
+/// analysis, generalised): the warpagg stack stage, "+W" in a stack's name.
+/// Two serving paths per request:
 ///
 ///  * **Per-lane passthrough** — the call forwards straight to the inner
 ///    manager, exactly like the undecorated base. Every Nth call per
@@ -75,12 +76,6 @@ class WarpAggregator final : public core::MemoryManager {
   [[nodiscard]] std::uint64_t lanes_served() const {
     return report().lanes_served;
   }
-
-  /// Traits a "+W" twin advertises, derivable without building a manager
-  /// (registry twin registration probes nothing). Name is left to the
-  /// caller. Lane spans are header-free, so the direct-service ceiling is
-  /// NOT shrunk: the passthrough path forwards requests verbatim.
-  static core::AllocatorTraits decorate_traits(core::AllocatorTraits t);
 
  private:
   /// Descriptor at the alignment base of one slab window. Published by the

@@ -1,5 +1,3 @@
-#include "alloc_core/resilient_manager.h"
-#include "alloc_core/warp_aggregator.h"
 #include "allocators/atomic_alloc.h"
 #include "allocators/bulk_alloc.h"
 #include "allocators/cuda_standin.h"
@@ -10,8 +8,6 @@
 #include "allocators/scatter_alloc.h"
 #include "allocators/xmalloc.h"
 #include "core/registry.h"
-#include "core/stack_builder.h"
-#include "core/validating_manager.h"
 #include "hostalloc/extent_best_fit.h"
 #include "hostalloc/host_buddy.h"
 #include "hostalloc/stream_pool.h"
@@ -29,8 +25,7 @@ ManagerFactory make_factory(Extra... extra) {
 
 /// Registers one base variant. Traits are probed exactly once per factory —
 /// a throwaway manager on the caller's probe device — and cached in the
-/// registry entry; decorated twins later derive their traits from this
-/// cache instead of probing again.
+/// registry entry.
 void add(gpu::Device& probe_dev, char selector, ManagerFactory factory,
          std::shared_ptr<const ConfigModel> config = nullptr) {
   Registry::instance().add(RegistryEntry{
@@ -53,81 +48,6 @@ void add_cfg(gpu::Device& probe_dev, char selector,
       Manager::config_schema(), defaults);
   (void)model->canonicalize({});
   add(probe_dev, selector, make_factory<Manager>(defaults), std::move(model));
-}
-
-/// ConfigModel for a decorated twin ("Halloc+V"): forwards the base entry's
-/// schema surface and wraps its configured factory in the twin's stage, so
-/// "Halloc+V{slab_bytes=2097152}" tunes the base under validation.
-class StagedConfigModel final : public ConfigModel {
- public:
-  StagedConfigModel(StackSpec::Stage stage,
-                    std::shared_ptr<const ConfigModel> base)
-      : stage_(stage), base_(std::move(base)) {}
-
-  [[nodiscard]] const std::vector<ConfigFieldInfo>& fields() const override {
-    return base_->fields();
-  }
-  [[nodiscard]] ConfigKV defaults() const override {
-    return base_->defaults();
-  }
-  [[nodiscard]] ConfigKV canonicalize(const ConfigKV& o) const override {
-    return base_->canonicalize(o);
-  }
-  [[nodiscard]] ManagerFactory configured_factory(
-      const ConfigKV& o) const override {
-    return StackBuilder::stage_factory(stage_, base_->configured_factory(o));
-  }
-
- private:
-  StackSpec::Stage stage_;
-  std::shared_ptr<const ConfigModel> base_;
-};
-
-std::shared_ptr<const ConfigModel> staged_config(
-    StackSpec::Stage stage, const std::shared_ptr<const ConfigModel>& base) {
-  if (base == nullptr) return nullptr;
-  return std::make_shared<StagedConfigModel>(stage, base);
-}
-
-/// Gives every registered variant a "<name>+V" validating twin (selector
-/// 'v') and a "<name>+R" failure-recovery twin (selector 'e'), and every
-/// general-purpose variant a "<name>+W" warp-aggregated twin (selector 'w'),
-/// all wired through StackBuilder::stage_factory — the same path --stack
-/// specs use. Twin traits are derived from the cached base traits (no probe
-/// construction); twin names are interned in the registry so the
-/// string_views outlive this translation unit.
-void register_decorated_twins() {
-  auto& reg = Registry::instance();
-  const std::vector<RegistryEntry> base = reg.entries();  // snapshot
-  for (const auto& e : base) {
-    AllocatorTraits vt = ValidatingManager::decorate_traits(e.traits);
-    vt.name = reg.intern(std::string(e.traits.name) + "+V");
-    reg.add(RegistryEntry{
-        .traits = vt,
-        .selector = 'v',
-        .factory = StackBuilder::stage_factory(StackSpec::Stage::kValidate,
-                                               e.factory),
-        .config = staged_config(StackSpec::Stage::kValidate, e.config)});
-
-    AllocatorTraits rt = alloc_core::ResilientManager::decorate_traits(e.traits);
-    rt.name = reg.intern(std::string(e.traits.name) + "+R");
-    reg.add(RegistryEntry{
-        .traits = rt,
-        .selector = 'e',
-        .factory = StackBuilder::stage_factory(StackSpec::Stage::kResilient,
-                                               e.factory),
-        .config = staged_config(StackSpec::Stage::kResilient, e.config)});
-
-    if (!e.traits.general_purpose) continue;  // aggregation needs free/thread
-    AllocatorTraits wt = alloc_core::WarpAggregator::decorate_traits(e.traits);
-    wt.name = reg.intern(std::string(e.traits.name) + "+W");
-    reg.add(RegistryEntry{
-        .traits = wt,
-        .selector = 'w',
-        .factory = StackBuilder::stage_factory(StackSpec::Stage::kWarpAgg,
-                                               e.factory),
-        .config = staged_config(StackSpec::Stage::kWarpAgg, e.config)});
-  }
 }
 
 }  // namespace
@@ -184,8 +104,6 @@ void register_all_allocators() {
   add_cfg<hostalloc::ExtentBestFit>(probe_dev, 'm');
   add_cfg<hostalloc::HostBuddy>(probe_dev, 'm');
   add_cfg<hostalloc::StreamPool>(probe_dev, 'm');
-
-  register_decorated_twins();
 }
 
 }  // namespace gms::core

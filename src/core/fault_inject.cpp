@@ -42,10 +42,6 @@ const ConfigSchema<FaultSpec>& FaultSpec::config_schema() {
 FaultInjector::FaultInjector(std::unique_ptr<MemoryManager> inner,
                              FaultSpec spec)
     : inner_(std::move(inner)), spec_(spec) {
-  name_ = std::string(inner_->traits().name) + "+F";
-  traits_ = inner_->traits();
-  traits_.name = name_;
-  traits_.decorated = true;
   init_ms_ = inner_->init_ms();
 }
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "core/memory_manager.h"
 
@@ -43,7 +42,10 @@ class FaultInjector final : public MemoryManager {
  public:
   FaultInjector(std::unique_ptr<MemoryManager> inner, FaultSpec spec);
 
-  [[nodiscard]] const AllocatorTraits& traits() const override { return traits_; }
+  /// Transparent: the inner manager's traits, name included.
+  [[nodiscard]] const AllocatorTraits& traits() const override {
+    return inner_->traits();
+  }
   [[nodiscard]] void* malloc(gpu::ThreadCtx& ctx, std::size_t size) override;
   void free(gpu::ThreadCtx& ctx, void* ptr) override;
   [[nodiscard]] void* warp_malloc(gpu::ThreadCtx& ctx,
@@ -70,8 +72,6 @@ class FaultInjector final : public MemoryManager {
   /// True when the call with this global index / size must fail.
   [[nodiscard]] bool should_fail(std::uint64_t call_idx, std::size_t size);
 
-  std::string name_;  ///< backs traits_.name ("<inner>+F")
-  AllocatorTraits traits_{};
   std::unique_ptr<MemoryManager> inner_;
   FaultSpec spec_;
   std::atomic<std::uint64_t> calls_{0};

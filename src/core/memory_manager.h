@@ -80,10 +80,9 @@ struct AllocatorTraits {
   /// BulkAllocator rebuild — §2.9 had no public version to test). Extensions
   /// join tests and benches but are excluded from paper-population checks.
   bool extension = false;
-  /// True for harness decorators over a registered manager (the "+V"
-  /// validated twins). Excluded from default enumeration so bench/test
-  /// populations don't silently double; selected explicitly by name, by the
-  /// 'v' selector letter, or by a validate stage in a --stack spec.
+  /// True for registered managers that stay out of Registry::names() and
+  /// the "all" selector: the hostile survey stubs (core/stub_allocators.h),
+  /// which join a sweep only when named explicitly. No stack stage sets it.
   bool decorated = false;
   /// True for the host-based family (src/hostalloc): placement is planned on
   /// the host and the device only consumes — the survey column the paper's
@@ -137,7 +136,7 @@ class MemoryManager {
   /// while kernels run. The default is a supported=false no-op so managers
   /// without introspection still compose with the survey runner; real
   /// implementations exist for ListHeap-backed managers (XMalloc),
-  /// ScatterAlloc, Ouroboros, and the "+V" validating twins. Must tolerate
+  /// ScatterAlloc, Ouroboros, and the validate stage ("+V"). Must tolerate
   /// the torn-but-sound state a watchdog-cancelled kernel leaves behind
   /// (lost pages are leaks, not corruption).
   [[nodiscard]] virtual AuditResult audit() { return {}; }

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "core/stack_spec.h"
+
 namespace gms::core {
 
 Registry& Registry::instance() {
@@ -19,26 +21,17 @@ void Registry::add(RegistryEntry entry) {
   entries_.push_back(std::move(entry));
 }
 
-std::string_view Registry::intern(std::string name) {
-  for (const auto& s : interned_) {
-    if (s == name) return s;
-  }
-  interned_.push_back(std::move(name));
-  return interned_.back();
-}
-
 const RegistryEntry* Registry::find(std::string_view name) const {
   auto it = std::find_if(entries_.begin(), entries_.end(),
                          [&](const auto& e) { return e.traits.name == name; });
   return it == entries_.end() ? nullptr : &*it;
 }
 
-std::vector<std::string> Registry::names(bool general_purpose_only,
-                                         bool include_decorated) const {
+std::vector<std::string> Registry::names(bool general_purpose_only) const {
   std::vector<std::string> out;
   for (const auto& e : entries_) {
     if (general_purpose_only && !e.traits.general_purpose) continue;
-    if (!include_decorated && e.traits.decorated) continue;
+    if (e.traits.decorated) continue;
     out.emplace_back(e.traits.name);
   }
   return out;
@@ -77,30 +70,26 @@ std::vector<std::string> Registry::select(std::string_view spec) const {
     return out;
   }
 
-  // Comma-separated explicit names. A "{k=v,...}" config suffix rides
-  // along: the base must be registered and configurable, the suffix shape
-  // must parse, and the braced token is returned whole so downstream cells
-  // build the configured variant. Braces bind tighter than commas — a comma
-  // inside "{...}" separates keys, not names.
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    const auto brace = spec.find('{', pos);
-    if (brace != std::string_view::npos && comma != std::string_view::npos &&
-        brace < comma) {
-      const auto close = spec.find('}', brace);
-      comma = close == std::string_view::npos ? std::string_view::npos
-                                              : spec.find(',', close);
+  // Comma-separated stack specs ("Halloc+V", "XMalloc{num_classes=11}"),
+  // each checked and returned whole so downstream cells build exactly what
+  // was written. Braces bind tighter than commas: a comma inside "{...}"
+  // separates keys, not cells.
+  std::size_t start = 0, depth = 0;
+  for (std::size_t i = 0; i <= spec.size(); ++i) {
+    if (i < spec.size() && (spec[i] != ',' || depth != 0)) {
+      if (spec[i] == '{') ++depth;
+      if (spec[i] == '}' && depth != 0) --depth;
+      continue;
     }
-    const auto name = spec.substr(
-        pos, comma == std::string_view::npos ? spec.size() - pos : comma - pos);
-    if (!name.empty()) {
-      const auto [base, braced] = split_config_suffix(name);
-      check_config(base, parse_config_overrides(braced));
-      push_unique(name);
+    const auto cell = spec.substr(start, i - start);
+    start = i + 1;
+    if (cell.empty()) continue;
+    const auto parsed = StackSpec::parse(cell);
+    if (parsed.base.empty()) {
+      throw std::invalid_argument{"no base allocator in: " + std::string(cell)};
     }
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
+    check_config(parsed.base, parsed.base_config);
+    push_unique(cell);
   }
   return out;
 }
@@ -118,34 +107,6 @@ void Registry::check_config(std::string_view name,
                           "' takes no config overrides");
   }
   (void)entry->config->canonicalize(overrides);
-}
-
-std::unique_ptr<MemoryManager> Registry::make(std::string_view name,
-                                              gpu::Device& dev,
-                                              std::size_t heap_bytes) const {
-  const auto [base, braced] = split_config_suffix(name);
-  const auto* entry = find(base);
-  if (entry == nullptr) {
-    throw std::invalid_argument{"unknown allocator: " + std::string(base)};
-  }
-  if (heap_bytes > dev.arena().size()) {
-    throw std::invalid_argument{"heap larger than device arena"};
-  }
-  ManagerFactory factory = entry->factory;
-  if (!braced.empty()) {
-    const ConfigKV overrides = parse_config_overrides(braced);
-    if (!overrides.empty()) {
-      if (entry->config == nullptr) {
-        throw ConfigError(ConfigError::Kind::kNotConfigurable,
-                          std::string(base),
-                          "allocator '" + std::string(base) +
-                              "' takes no config overrides");
-      }
-      factory = entry->config->configured_factory(overrides);
-    }
-  }
-  dev.arena().clear();
-  return factory(dev, heap_bytes);
 }
 
 }  // namespace gms::core

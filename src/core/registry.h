@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,14 +18,16 @@ struct RegistryEntry {
   char selector = '?';
   ManagerFactory factory;
   /// Runtime-Config surface (schema + defaults). Null for entries without
-  /// tunable knobs (CudaStandin, decorated twins delegate to their base) —
-  /// "{k=v}" against a null model is a typed kNotConfigurable error.
+  /// tunable knobs (CudaStandin, the survey stubs) — "{k=v}" against a null
+  /// model is a typed kNotConfigurable error.
   std::shared_ptr<const ConfigModel> config;
 };
 
-/// Global catalogue of every surveyed allocator variant. Populated by
+/// Global catalogue of every surveyed base allocator. Populated by
 /// register_all_allocators(); benches and tests enumerate it instead of
-/// hard-coding the sixteen variants.
+/// hard-coding the variants. It holds bases only: a decorated stack
+/// ("Halloc+V", "validate>Halloc") is a StackSpec over a base, and
+/// StackBuilder is the one way a name becomes a manager.
 class Registry {
  public:
   static Registry& instance();
@@ -38,16 +39,16 @@ class Registry {
     return entries_;
   }
 
-  /// All variant names, optionally restricted to general-purpose managers.
-  /// Decorated entries (the "+V" validated twins) are excluded unless
-  /// `include_decorated` — default populations must not silently double.
+  /// All base names, optionally restricted to general-purpose managers.
+  /// Entries flagged `decorated` (the survey stubs) are left out.
   [[nodiscard]] std::vector<std::string> names(
-      bool general_purpose_only = false, bool include_decorated = false) const;
+      bool general_purpose_only = false) const;
 
-  /// Expands a paper-style selector ("o+s+h", 'v' = validated twins) or a
-  /// comma list of names ("Halloc,Ouro-P-S") into registry names. Throws on
-  /// unknown selectors and on "Name{k=v}" overrides check_config rejects.
-  /// "all" excludes decorated twins, like names().
+  /// Expands a paper-style selector ("o+s+h") or a comma list of stack
+  /// specs ("Halloc,Ouro-P-S+V,XMalloc{num_classes=11}") into -t cells,
+  /// each returned as written. Throws on unknown selector letters, on a
+  /// token that is not a spec over a registered base, and on "{k=v}"
+  /// overrides check_config rejects. "all" is names().
   [[nodiscard]] std::vector<std::string> select(std::string_view spec) const;
 
   /// Checks `overrides` against `name`'s config schema (keys, ranges and
@@ -55,19 +56,8 @@ class Registry {
   /// std::invalid_argument for an unknown name, ConfigError otherwise.
   void check_config(std::string_view name, const ConfigKV& overrides) const;
 
-  /// Builds a manager over a freshly cleared arena.
-  [[nodiscard]] std::unique_ptr<MemoryManager> make(std::string_view name,
-                                                    gpu::Device& dev,
-                                                    std::size_t heap_bytes) const;
-
-  /// Interns a runtime-built name (the decorated "+V"/"+W" twin names) for
-  /// the registry's lifetime, so AllocatorTraits can keep its string_view
-  /// shape. Deduplicates; the deque keeps references stable across growth.
-  std::string_view intern(std::string name);
-
  private:
   std::vector<RegistryEntry> entries_;
-  std::deque<std::string> interned_;  ///< backs decorated twin trait names
 };
 
 /// Registers S4-S11 (idempotent). Call once at program start.

@@ -151,6 +151,11 @@ SurveyRunner::Attempt SurveyRunner::run_attempt(
     // Only this thread survived the fork: the parent's Device worker threads
     // are gone, so the body must build everything it touches from scratch.
     close(fds[0]);
+    // A crash must reach waitpid as a signal: an inherited handler (ASan's
+    // SEGV handler, say) would turn it into an exit code.
+    for (const int sig : {SIGSEGV, SIGBUS, SIGFPE, SIGILL, SIGABRT}) {
+      ::signal(sig, SIG_DFL);
+    }
     if (opts_.rlimit_mb > 0) {
       rlimit rl{};
       rl.rlim_cur = rl.rlim_max =

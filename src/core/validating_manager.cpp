@@ -8,6 +8,8 @@
 #include <cstring>
 #include <limits>
 
+#include "core/stack_spec.h"
+
 namespace gms::core {
 
 namespace {
@@ -70,23 +72,20 @@ ValidatingManager::ValidatingManager(gpu::Device& dev, std::size_t heap_bytes,
   std::memset(shadow_, 0, heap_bytes - inner_heap_bytes_);
 
   inner_ = make_inner(dev, inner_heap_bytes_);
-  name_ = std::string(inner_->traits().name) + "+V";
-  traits_ = decorate_traits(inner_->traits());
+  name_ = std::string(inner_->traits().name);
+  name_ += StackSpec::suffix(StackSpec::Stage::kValidate);
+  traits_ = inner_->traits();
   traits_.name = name_;
+  // The redzones ride inside every inner request, so the payload size at
+  // which the inner manager starts relaying shrinks by the overhead.
+  if (traits_.max_direct_size != std::numeric_limits<std::size_t>::max()) {
+    const std::size_t pad = kFrontBytes + kRearBytes;
+    traits_.max_direct_size =
+        traits_.max_direct_size > pad ? traits_.max_direct_size - pad : 0;
+  }
   init_ms_ = std::chrono::duration<double, std::milli>(
                  std::chrono::steady_clock::now() - t0)
                  .count();
-}
-
-AllocatorTraits ValidatingManager::decorate_traits(AllocatorTraits t) {
-  t.decorated = true;
-  // The redzones ride inside every inner request, so the payload size at
-  // which the inner manager starts relaying shrinks by the overhead.
-  if (t.max_direct_size != std::numeric_limits<std::size_t>::max()) {
-    const std::size_t pad = kFrontBytes + kRearBytes;
-    t.max_direct_size = t.max_direct_size > pad ? t.max_direct_size - pad : 0;
-  }
-  return t;
 }
 
 std::uint64_t ValidatingManager::canary_word(std::uint64_t off,

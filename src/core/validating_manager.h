@@ -31,9 +31,8 @@ namespace gms::core {
 /// detected double free / foreign free is contained: it is reported and NOT
 /// forwarded to the inner allocator.
 ///
-/// Every registry variant has a "+V" twin built from this decorator
-/// (selector letter 'v'); benches opt in with `-t Name+V` or
-/// `--stack validate`.
+/// The validate stack stage: benches opt in with `-t Name+V` or
+/// `--stack validate`, which StackSpec reads as the same stage.
 class ValidatingManager final : public MemoryManager {
  public:
   /// Carves the validation metadata from the tail of `heap_bytes` and builds
@@ -69,11 +68,6 @@ class ValidatingManager final : public MemoryManager {
   static constexpr std::size_t kFrontBytes = 32;
   /// Canary bytes behind each payload.
   static constexpr std::size_t kRearBytes = 16;
-
-  /// Traits a "+V" twin advertises, derivable without building a manager
-  /// (registry twin registration probes nothing). Name is left to the
-  /// caller; the redzone pad shrinks the inner direct-service limit.
-  static AllocatorTraits decorate_traits(AllocatorTraits t);
 
  private:
   struct Header;  // lives in the front redzone

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/registry.h"
+#include "core/stack_builder.h"
 #include "core/utils.h"
 #include "gpu/device.h"
 
@@ -31,7 +32,7 @@ class ConformanceTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
     core::register_all_allocators();
-    mgr_ = Registry::instance().make(GetParam(), dev(), kHeapBytes);
+    mgr_ = core::StackBuilder(dev()).build(GetParam(), kHeapBytes).manager;
     ASSERT_NE(mgr_, nullptr);
   }
 
@@ -238,7 +239,7 @@ TEST_P(ConformanceTest, OutOfMemoryReturnsNullNotCrash) {
   const std::size_t threads = slow_near_oom ? 1024 : 4096;
   // A dedicated small manager so exhaustion is cheap to reach.
   Device small((heap + (4u << 20)), GpuConfig{.num_sms = 2});
-  auto mgr = Registry::instance().make(GetParam(), small, heap);
+  auto mgr = core::StackBuilder(small).build(GetParam(), heap).manager;
   std::uint64_t ok = 0, fail = 0;
   small.launch_n(threads, [&](ThreadCtx& t) {
     for (int i = 0; i < 4; ++i) {
@@ -349,10 +350,19 @@ INSTANTIATE_TEST_SUITE_P(
     AllAllocators, ConformanceTest,
     ::testing::ValuesIn([] {
       core::register_all_allocators();
-      // Decorated "+V" twins included: the validating shim must itself honour
-      // the full malloc/free contract it polices.
-      return Registry::instance().names(/*general_purpose_only=*/false,
-                                        /*include_decorated=*/true);
+      // Every base, then each one's "+V", "+R" and (general purpose only)
+      // "+W" stack: every stage must itself honour the full malloc/free
+      // contract, the validating shim first among them.
+      const auto& reg = Registry::instance();
+      std::vector<std::string> names = reg.names();
+      for (const auto& base : reg.names()) {
+        names.push_back(base + "+V");
+        names.push_back(base + "+R");
+        if (reg.find(base)->traits.general_purpose) {
+          names.push_back(base + "+W");
+        }
+      }
+      return names;
     }()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "core/registry.h"
+#include "core/stack_builder.h"
 #include "workloads/graph.h"
 #include "workloads/graph_workload.h"
 
@@ -21,7 +22,7 @@ Device& dev() {
 
 std::unique_ptr<core::MemoryManager> make(const std::string& name) {
   core::register_all_allocators();
-  return Registry::instance().make(name, dev(), 160u << 20);
+  return core::StackBuilder(dev()).build(name, 160u << 20).manager;
 }
 
 // ---- generators -------------------------------------------------------------

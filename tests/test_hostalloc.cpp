@@ -416,8 +416,7 @@ TEST(StreamPool, ExhaustionBeforeSyncUnderFaultInjection) {
   auto stack = core::StackBuilder(dev).build("fault{mode=nth,n=3}>StreamPool",
                                             512u << 10);
   ASSERT_NE(stack.injector, nullptr);
-  ASSERT_NE(stack.host, nullptr);
-  auto* pool = dynamic_cast<hostalloc::StreamPool*>(stack.host);
+  auto* pool = dynamic_cast<hostalloc::StreamPool*>(stack.base);
   ASSERT_NE(pool, nullptr);
 
   std::atomic<std::uint64_t> nullptr_mallocs{0};

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/registry.h"
+#include "core/stack_builder.h"
 #include "core/utils.h"
 #include "gpu/device.h"
 
@@ -115,8 +116,9 @@ class PropertyTest : public ::testing::TestWithParam<Param> {
  protected:
   void SetUp() override {
     core::register_all_allocators();
-    mgr_ = Registry::instance().make(std::get<0>(GetParam()), dev(),
-                                     160u << 20);
+    mgr_ = core::StackBuilder(dev())
+               .build(std::get<0>(GetParam()), 160u << 20)
+               .manager;
   }
   std::unique_ptr<core::MemoryManager> mgr_;
 };

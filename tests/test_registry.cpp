@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/registry.h"
+#include "core/stack_builder.h"
 
 namespace gms::core {
 namespace {
@@ -16,8 +17,7 @@ class RegistryTest : public ::testing::Test {
 TEST_F(RegistryTest, AllSixteenVariantsRegistered) {
   // 1 Atomic + 1 CUDA + 1 XMalloc + 1 ScatterAlloc + 1 FDG + 1 Halloc
   // + 4 Reg-Eff + 6 Ouroboros = 16 (Table 1's testable population),
-  // plus extensions beyond the paper (the BulkAllocator rebuild) and the
-  // decorated "+V" validated twins of all of the above.
+  // plus extensions beyond the paper (the BulkAllocator rebuild).
   std::size_t paper_population = 0;
   for (const auto& e : reg().entries()) {
     if (!e.traits.extension && !e.traits.decorated) ++paper_population;
@@ -25,21 +25,14 @@ TEST_F(RegistryTest, AllSixteenVariantsRegistered) {
   EXPECT_EQ(paper_population, 16u);
   EXPECT_NE(reg().find("BulkAlloc"), nullptr);
   EXPECT_TRUE(reg().find("BulkAlloc")->traits.extension);
+}
 
-  // Every variant has a validated twin, flagged decorated and selectable by
-  // name or by the 'v' selector letter, but absent from default populations.
-  for (const auto& name : reg().names()) {
-    const auto* twin = reg().find(name + "+V");
-    ASSERT_NE(twin, nullptr) << name;
-    EXPECT_TRUE(twin->traits.decorated) << name;
-    EXPECT_EQ(twin->selector, 'v') << name;
-  }
-  const auto twins = reg().select("v");
-  EXPECT_EQ(twins.size(), reg().names().size());
-  const auto defaults = reg().select("all");
-  for (const auto& n : defaults) {
-    EXPECT_EQ(n.find("+V"), std::string::npos) << n;
-  }
+TEST_F(RegistryTest, HoldsOnlyTheTwentyBases) {
+  // Decorated stacks are specs over a base, not entries: 16 paper variants,
+  // BulkAlloc and the 3 host-based managers.
+  EXPECT_EQ(reg().entries().size(), 20u);
+  EXPECT_EQ(reg().names().size(), 20u);
+  EXPECT_EQ(reg().find("Halloc+V"), nullptr);
 }
 
 TEST_F(RegistryTest, FindByName) {
@@ -73,7 +66,7 @@ TEST_F(RegistryTest, GeneralPurposeFilterExcludesAtomicAndFdg) {
 
 TEST_F(RegistryTest, HostBasedFamilyRegistered) {
   // The host-based column (src/hostalloc): three extensions, selector 'm',
-  // outside the paper population but with full twin coverage like any base.
+  // outside the paper population.
   const auto host = reg().select("m");
   EXPECT_EQ(host.size(), 3u);
   for (const char* n : {"HostExtent", "HostBuddy", "StreamPool"}) {
@@ -84,13 +77,6 @@ TEST_F(RegistryTest, HostBasedFamilyRegistered) {
     EXPECT_TRUE(e->traits.its_safe) << n;
     EXPECT_EQ(e->traits.family, "Host-based") << n;
     EXPECT_EQ(e->selector, 'm') << n;
-    // Twins exist and inherit the host_based marking (the bench placement
-    // column classifies stacks by their base).
-    for (const char* suffix : {"+V", "+R", "+W"}) {
-      const auto* twin = reg().find(std::string(n) + suffix);
-      ASSERT_NE(twin, nullptr) << n << suffix;
-      EXPECT_TRUE(twin->traits.host_based) << n << suffix;
-    }
   }
   // Every device-side variant stays unmarked.
   for (const auto& e : reg().entries()) {
@@ -142,36 +128,31 @@ TEST_F(RegistryTest, TraitsMatchPaperTable1) {
   }
 }
 
-TEST_F(RegistryTest, WarpAggregatedTwinsForGeneralPurposeOnly) {
-  // Every general-purpose variant gains a "+W" twin (selector 'w'); warp-
-  // scoped or free-less managers (FDGMalloc, Atomic) must not.
-  for (const auto& name : reg().names()) {
-    const auto* base = reg().find(name);
-    ASSERT_NE(base, nullptr) << name;
-    const auto* twin = reg().find(name + "+W");
-    if (base->traits.general_purpose) {
-      ASSERT_NE(twin, nullptr) << name;
-      EXPECT_TRUE(twin->traits.decorated) << name;
-      EXPECT_EQ(twin->selector, 'w') << name;
-      EXPECT_TRUE(twin->traits.general_purpose) << name;
-    } else {
-      EXPECT_EQ(twin, nullptr) << name;
-    }
-  }
-  const auto agg = reg().select("w");
-  EXPECT_EQ(agg.size(), reg().names(/*general_purpose_only=*/true).size());
-  // Default populations stay twin-free.
-  for (const auto& n : reg().select("all")) {
-    EXPECT_EQ(n.find("+W"), std::string::npos) << n;
-  }
-}
-
-TEST_F(RegistryTest, SelectDeduplicatesDecoratedTwins) {
+TEST_F(RegistryTest, SelectReadsStackSuffixes) {
   EXPECT_EQ(reg().select("Halloc+V,Halloc+V").size(), 1u);
-  EXPECT_EQ(reg().select("Halloc+W,Halloc,Halloc+W").size(), 2u);
+  const auto stacked = reg().select("Halloc+R+V");
+  ASSERT_EQ(stacked.size(), 1u);
+  EXPECT_EQ(stacked[0], "Halloc+R+V");  // returned as written
+  EXPECT_THROW((void)reg().select("Halloc+X"), std::invalid_argument);
+  EXPECT_THROW((void)reg().select("Halloc+V+V"), std::invalid_argument);
   // Selector letters mixed with repetition stay deduplicated too.
   const auto mixed = reg().select("h+h");
   EXPECT_EQ(mixed.size(), 1u);
+}
+
+TEST_F(RegistryTest, StageLettersAreGone) {
+  for (const char* letter : {"v", "e", "w"}) {
+    try {
+      (void)reg().select(letter);
+      FAIL() << "select(\"" << letter << "\") should throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("unknown selector "
+                                                       "letter: ") +
+                                           letter),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(RegistryTest, SelectErrorsNameTheOffender) {
@@ -196,8 +177,8 @@ TEST_F(RegistryTest, SelectErrorsNameTheOffender) {
 TEST_F(RegistryTest, MakeUnknownNameThrows) {
   gpu::Device dev(8u << 20, gpu::GpuConfig{.num_sms = 1});
   try {
-    (void)reg().make("NotAnAllocator", dev, 1u << 20);
-    FAIL() << "make of an unknown name should throw";
+    (void)StackBuilder(dev).build("NotAnAllocator", 1u << 20);
+    FAIL() << "building an unknown name should throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("unknown allocator: NotAnAllocator"),
               std::string::npos)
@@ -205,20 +186,9 @@ TEST_F(RegistryTest, MakeUnknownNameThrows) {
   }
 }
 
-TEST_F(RegistryTest, InternDeduplicatesTwinNames) {
-  const auto a = reg().intern("Halloc+W");
-  const auto b = reg().intern("Halloc+W");
-  EXPECT_EQ(a.data(), b.data());  // same backing string, not just equal text
-  // The registered twin's traits name is the interned view, so repeated
-  // registration rounds never grow the pool for existing names.
-  const auto* twin = reg().find("Halloc+W");
-  ASSERT_NE(twin, nullptr);
-  EXPECT_EQ(twin->traits.name.data(), a.data());
-}
-
 TEST_F(RegistryTest, MakeRejectsOversizedHeap) {
   gpu::Device dev(8u << 20, gpu::GpuConfig{.num_sms = 1});
-  EXPECT_THROW(reg().make("ScatterAlloc", dev, 1u << 30),
+  EXPECT_THROW((void)StackBuilder(dev).build("ScatterAlloc", 1u << 30),
                std::invalid_argument);
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/registry.h"
+#include "core/stack_builder.h"
 #include "gpu/device.h"
 #include "gpu/watchdog.h"
 
@@ -359,7 +360,7 @@ TEST(Simt, ConformanceChurn) {
   core::register_all_allocators();
   Device local(96u << 20, GpuConfig{.num_sms = 4});
   for (const char* name : {"ScatterAlloc", "Halloc"}) {
-    auto mgr = core::Registry::instance().make(name, local, 64u << 20);
+    auto mgr = core::StackBuilder(local).build(name, 64u << 20).manager;
     ASSERT_NE(mgr, nullptr) << name;
     constexpr std::size_t kN = 2048, kWords = 8;
     for (unsigned round = 0; round < 3; ++round) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
+#include "core/stack_builder.h"
 #include "workloads/spgemm.h"
 
 namespace gms::work {
@@ -17,7 +18,7 @@ Device& dev() {
 
 std::unique_ptr<core::MemoryManager> make(const std::string& name) {
   core::register_all_allocators();
-  return Registry::instance().make(name, dev(), 192u << 20);
+  return core::StackBuilder(dev()).build(name, 192u << 20).manager;
 }
 
 TEST(SparseGen, RandomMatrixIsValidCsr) {

@@ -2,16 +2,18 @@
 // allocator is driven through the StackBuilder under each decorator
 // permutation the harness actually ships — "validate", "fault>validate",
 // "trace>fault>validate", "warpagg" — and the composed stack must uphold
-// the same contracts the bare manager does: the decorated trait is set,
-// layer pointers are harvested, audits merge down the chain, churn
-// completes, and the large-request relay still honours
-// malloc(max_direct_size + delta) for relaying managers.
+// the same contracts the bare manager does: layer pointers are harvested,
+// the identity name is a spec that rebuilds the same stack, audits merge
+// down the chain, churn completes, and the large-request relay still
+// honours malloc(max_direct_size + delta) for relaying managers.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc_core/resilient_manager.h"
@@ -82,7 +84,7 @@ TEST_P(StackCompositionTest, ValidateStack) {
   EXPECT_EQ(stack.injector, nullptr);
   EXPECT_EQ(stack.tracer, nullptr);
   EXPECT_EQ(stack.aggregator, nullptr);
-  EXPECT_TRUE(stack.manager->traits().decorated);
+  EXPECT_EQ(stack.base, &stack.validator->inner());
   EXPECT_EQ(stack.name, GetParam() + "+V");
   EXPECT_EQ(std::string(stack.manager->traits().name), stack.name);
 
@@ -103,9 +105,9 @@ TEST_P(StackCompositionTest, FaultValidateStack) {
       "fault{mode=nth,n=5}>validate>" + GetParam(), kHeapBytes);
   ASSERT_NE(stack.validator, nullptr);
   ASSERT_NE(stack.injector, nullptr);
-  EXPECT_TRUE(stack.manager->traits().decorated);
-  // Fault layers are transparent observers: the stack keeps the validated
-  // twin's identity.
+  EXPECT_EQ(stack.base, &stack.validator->inner());
+  // Fault layers are transparent observers: the stack keeps the validate
+  // stage's identity.
   EXPECT_EQ(stack.name, GetParam() + "+V");
 
   churn(dev, *stack.manager, base().traits);
@@ -152,7 +154,7 @@ TEST_P(StackCompositionTest, WarpAggStack) {
   auto stack = StackBuilder(dev).build("warpagg>" + GetParam(), kHeapBytes);
   ASSERT_NE(stack.aggregator, nullptr);
   EXPECT_EQ(stack.validator, nullptr);
-  EXPECT_TRUE(stack.manager->traits().decorated);
+  EXPECT_EQ(stack.base, &stack.aggregator->inner());
   EXPECT_EQ(stack.name, GetParam() + "+W");
 
   // Pin the aggregated path through warp_malloc: the adaptive malloc would
@@ -191,6 +193,42 @@ TEST_P(StackCompositionTest, WarpAggAdaptiveDefaultStaysPassthroughWhenCalm) {
   // A short uncontended churn must be served on the per-lane path.
   EXPECT_GT(report.passthrough_calls, 0u);
   EXPECT_EQ(report.switches_to_agg, 0u) << report.to_string();
+}
+
+TEST_P(StackCompositionTest, IdentityNameRebuildsTheStack) {
+  // Every name StackBuilder gives is a spec: building it again gives the
+  // same name and the same validate, resilient and warpagg layers. Trace
+  // and fault are transparent and stay out of the name wherever they sit.
+  const std::string x = GetParam();
+  const std::string fault = "fault{mode=nth,n=7}";
+  const std::pair<std::string, std::string> shapes[] = {
+      {x, x},
+      {"validate>" + x, x + "+V"},
+      {"resilient>" + x, x + "+R"},
+      {"warpagg>" + x, x + "+W"},
+      {"validate>resilient>" + x, x + "+R+V"},
+      {"warpagg>resilient>" + x, x + "+R+W"},
+      {"validate>" + fault + ">" + x, x + "+V"},
+      {fault + ">validate>" + x, x + "+V"},
+      {"trace>validate>" + fault + ">resilient>" + x, x + "+R+V"},
+  };
+  const auto layers = [](const core::BuiltStack& s) {
+    return std::array<bool, 3>{s.validator != nullptr, s.resilient != nullptr,
+                               s.aggregator != nullptr};
+  };
+  Device dev(kArenaBytes, GpuConfig{.num_sms = kNumSms});
+  for (const auto& [spec, name] : shapes) {
+    std::array<bool, 3> built{};
+    {
+      auto stack = StackBuilder(dev).build(spec, kHeapBytes);
+      dev.set_launch_observer(nullptr);  // a trace stage's recorder dies here
+      EXPECT_EQ(stack.name, name) << spec;
+      built = layers(stack);
+    }
+    const auto again = StackBuilder(dev).build(name, kHeapBytes);
+    EXPECT_EQ(again.name, name) << spec;
+    EXPECT_EQ(layers(again), built) << spec;
+  }
 }
 
 TEST_P(StackCompositionTest, RelayContractSurvivesValidation) {

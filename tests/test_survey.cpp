@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/registry.h"
+#include "core/stack_builder.h"
 #include "core/stub_allocators.h"
 #include "core/survey_runner.h"
 #include "gpu/device.h"
@@ -265,7 +266,7 @@ CellOutcome churn_stub(const std::string& name) {
   core::register_all_allocators();
   core::register_stub_allocators();
   Device dev(32u << 20, GpuConfig{.num_sms = 2});
-  auto mgr = Registry::instance().make(name, dev, 16u << 20);
+  auto mgr = core::StackBuilder(dev).build(name, 16u << 20).manager;
   std::vector<void*> ptrs(256, nullptr);
   dev.launch_n(ptrs.size(), [&](ThreadCtx& t) {
     ptrs[t.thread_rank()] = mgr->malloc(t, 64);
@@ -334,7 +335,7 @@ class PostCancellationAudit : public ::testing::TestWithParam<std::string> {};
 TEST_P(PostCancellationAudit, HeapStaysAuditableAfterCancelledKernel) {
   core::register_all_allocators();
   Device dev(64u << 20, GpuConfig{.num_sms = 2, .watchdog_ms = 150});
-  auto mgr = Registry::instance().make(GetParam(), dev, 32u << 20);
+  auto mgr = core::StackBuilder(dev).build(GetParam(), 32u << 20).manager;
 
   // Churn forever; the watchdog cancels the launch mid-malloc/free. Lanes
   // unwind at their next yield point, abandoning whatever pages/blocks they

@@ -54,7 +54,7 @@ trace::Trace record_session(const std::string& allocator, unsigned num_sms,
   Device dev(kHeapBytes + (4u << 20), GpuConfig{.num_sms = num_sms});
   trace::TraceRecorder recorder(num_sms);
   trace::TracingManager mgr(
-      core::Registry::instance().make(allocator, dev, kHeapBytes), recorder,
+      core::StackBuilder(dev).build(allocator, kHeapBytes).manager, recorder,
       dev.arena());
   dev.set_launch_observer(&recorder);
   recorder.set_enabled(true);
@@ -92,7 +92,7 @@ std::pair<std::uint64_t, trace::ReplayResult> replay_recaptured(
   Device dev(kHeapBytes + (4u << 20), GpuConfig{.num_sms = num_sms});
   trace::TraceRecorder recorder(num_sms);
   trace::TracingManager mgr(
-      core::Registry::instance().make(allocator, dev, kHeapBytes), recorder,
+      core::StackBuilder(dev).build(allocator, kHeapBytes).manager, recorder,
       dev.arena());
   dev.set_launch_observer(&recorder);
   recorder.set_enabled(true);
@@ -178,7 +178,7 @@ TEST(TracingManager, DisabledRecorderBuffersNothing) {
   Device dev(kHeapBytes + (4u << 20), GpuConfig{.num_sms = 2});
   trace::TraceRecorder recorder(2);
   trace::TracingManager mgr(
-      core::Registry::instance().make("ScatterAlloc", dev, kHeapBytes),
+      core::StackBuilder(dev).build("ScatterAlloc", kHeapBytes).manager,
       recorder, dev.arena());
   dev.set_launch_observer(&recorder);  // enabled() gates the markers too
 
@@ -277,7 +277,7 @@ TEST(TraceReplay, SkipsFreesForNoFreeTargets) {
   // The Atomic baseline cannot free; its traits force frees into
   // skipped_frees instead of crashing the replay.
   Device dev(kHeapBytes + (4u << 20), GpuConfig{.num_sms = 2});
-  auto mgr = core::Registry::instance().make("Atomic", dev, kHeapBytes);
+  auto mgr = core::StackBuilder(dev).build("Atomic", kHeapBytes).manager;
   const auto result = replayer.replay(dev, *mgr);
   EXPECT_EQ(result.mallocs, 128u);
   EXPECT_EQ(result.frees, 0u);
@@ -301,7 +301,7 @@ struct MarkerStream {
 MarkerStream record_markers(const std::string& spec) {
   Device dev(kHeapBytes + (8u << 20), GpuConfig{.num_sms = 1});
   auto stack = core::StackBuilder(dev).build(spec, kHeapBytes);
-  auto* pool = dynamic_cast<hostalloc::StreamPool*>(stack.host);
+  auto* pool = dynamic_cast<hostalloc::StreamPool*>(stack.base);
   stack.recorder->set_enabled(true);
   constexpr std::size_t kThreads = 512;
   std::vector<void*> ptrs(kThreads, nullptr);

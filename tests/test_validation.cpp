@@ -40,9 +40,9 @@ Device& dev() {
   return device;
 }
 
-/// A validator wrapped directly around a registered inner factory (the twin
-/// registration path is covered by test_registry; here we want the concrete
-/// type to reach drain_report / live_count).
+/// A validator wrapped directly around a registered inner factory (the
+/// "+V" stack path is covered by test_stack_composition; here we want the
+/// concrete type to reach drain_report / live_count).
 std::unique_ptr<ValidatingManager> make_validated(Device& d, std::size_t heap,
                                                   const std::string& inner) {
   core::register_all_allocators();
@@ -150,7 +150,7 @@ TEST(ValidatingManagerNegative, ForeignAndMisalignedFreesContained) {
 std::unique_ptr<core::MemoryManager> make_inner(Device& d,
                                                 const std::string& name) {
   core::register_all_allocators();
-  return Registry::instance().make(name, d, 8u << 20);
+  return core::StackBuilder(d).build(name, 8u << 20).manager;
 }
 
 TEST(FaultInjector, NthScheduleInjectsExactCount) {
@@ -305,7 +305,7 @@ class ValidatedChurnTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(ValidatedChurnTest, FaultInjectedChurnStaysClean) {
   core::register_all_allocators();
   auto validated =
-      Registry::instance().make(GetParam() + "+V", dev(), kHeapBytes);
+      core::StackBuilder(dev()).build(GetParam() + "+V", kHeapBytes).manager;
   ASSERT_NE(validated, nullptr);
   FaultInjector mgr(std::move(validated), FaultSpec{.mode = FaultSpec::Mode::kProb,
                                       .p = 0.15,

@@ -260,7 +260,7 @@ TEST(WarpAggAdaptiveTest, StormSpikeArmsAndAggregates) {
 }
 
 // Calm traffic — two orders of magnitude of headroom under the arming
-// spike — never aggregates, at any SM count: the "+W" twin of a fast
+// spike — never aggregates, at any SM count: the "+W" stack of a fast
 // manager must be byte-for-byte the passthrough path.
 TEST(WarpAggAdaptiveTest, CalmManagerNeverArms) {
   Device dev(32u << 20, GpuConfig{.num_sms = 2});

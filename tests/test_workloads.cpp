@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
+#include "core/stack_builder.h"
 #include "workloads/alloc_perf.h"
 #include "workloads/fragmentation.h"
 #include "workloads/workgen.h"
@@ -20,7 +21,7 @@ Device& dev() {
 std::unique_ptr<core::MemoryManager> make(const std::string& name,
                                           std::size_t heap = 96u << 20) {
   core::register_all_allocators();
-  return Registry::instance().make(name, dev(), heap);
+  return core::StackBuilder(dev()).build(name, heap).manager;
 }
 
 TEST(AllocPerf, ProducesOneTimingPerIteration) {
@@ -110,7 +111,7 @@ TEST(Fragmentation, OuroborosTighterThanCuda) {
 TEST(Oom, BumpAllocatorReachesFullUtilisation) {
   Device small(24u << 20, GpuConfig{.num_sms = 2});
   core::register_all_allocators();
-  auto mgr = Registry::instance().make("Atomic", small, 16u << 20);
+  auto mgr = core::StackBuilder(small).build("Atomic", 16u << 20).manager;
   const auto r = run_oom(small, *mgr, 1'000, 64, 16u << 20, 30.0);
   EXPECT_GT(r.percent_of_baseline(), 95.0);
   EXPECT_FALSE(r.timed_out);
@@ -121,7 +122,7 @@ TEST(Oom, OuroborosHighUtilisation) {
   // goal behind Fig. 11b's 98 % utilisation.
   Device small(24u << 20, GpuConfig{.num_sms = 2});
   core::register_all_allocators();
-  auto mgr = Registry::instance().make("Ouro-P-VA", small, 16u << 20);
+  auto mgr = core::StackBuilder(small).build("Ouro-P-VA", 16u << 20).manager;
   const auto r = run_oom(small, *mgr, 1'000, 64, 16u << 20, 60.0);
   EXPECT_GT(r.percent_of_baseline(), 75.0);
 }
@@ -131,9 +132,10 @@ TEST(Oom, VirtualizedBeatsStandardOnSmallHeaps) {
   // chunks it manages. On a tight heap the virtualized design wins memory.
   Device small(24u << 20, GpuConfig{.num_sms = 2});
   core::register_all_allocators();
-  auto standard = Registry::instance().make("Ouro-P-S", small, 16u << 20);
+  auto standard =
+      core::StackBuilder(small).build("Ouro-P-S", 16u << 20).manager;
   const auto r_s = run_oom(small, *standard, 1'000, 64, 16u << 20, 60.0);
-  auto virt = Registry::instance().make("Ouro-P-VA", small, 16u << 20);
+  auto virt = core::StackBuilder(small).build("Ouro-P-VA", 16u << 20).manager;
   const auto r_v = run_oom(small, *virt, 1'000, 64, 16u << 20, 60.0);
   EXPECT_GE(r_v.achieved, r_s.achieved);
 }
