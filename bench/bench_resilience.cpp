@@ -155,22 +155,9 @@ int main(int argc, char** argv) {
         .num("base_failed", base.failed)
         .num("base_ms", base.ms)
         .num("resilient_ms", res.ms)
-        .num("unrecovered", res.rep.unrecovered)
         .num("kernel_visible_failures", res.failed)
-        .num("inner_failures", res.rep.inner_failures)
-        .num("retries", res.rep.retries)
-        .num("retry_successes", res.rep.retry_successes)
-        .num("fallback_allocs", res.rep.fallback_allocs)
-        .num("fallback_frees", res.rep.fallback_frees)
-        .num("breaker_trips", res.rep.breaker_trips)
-        .num("breaker_resets", res.rep.breaker_resets)
-        .num("reserve_used_bytes", res.rep.reserve_used_bytes)
-        .num("reserve_capacity", res.rep.reserve_capacity)
-        .num("fault_inner_failures", res_fault.rep.inner_failures)
-        .num("fault_retry_successes", res_fault.rep.retry_successes)
-        .num("fault_fallback_allocs", res_fault.rep.fallback_allocs)
-        .num("fault_fallback_frees", res_fault.rep.fallback_frees)
-        .num("fault_unrecovered", res_fault.rep.unrecovered)
+        .report(res.rep)
+        .report(res_fault.rep, "fault_")
         .num("fault_kernel_visible_failures", res_fault.failed)
         .num("base_leaked_pages", base.leaked_pages)
         .num("resilient_leaked_pages", res.leaked_pages)

@@ -170,7 +170,7 @@ int run(int argc, char** argv) {
           .num("req_per_s", reqs_per_s, 1)
           .num("p50_ms", percentile(rep.batch_ms, 50), 4)
           .num("p99_ms", percentile(rep.batch_ms, 99), 4)
-          .num("rounds", rep.rounds)
+          .report(rep)
           .num("shed_batches", shed)
           .boolean("accounted", rep.accounted());
     }
@@ -237,12 +237,9 @@ int run(int argc, char** argv) {
       .num("tenants", fo_tenants)
       .num("ops", a.total_ops)
       .num("p99_ms", percentile(rep.batch_ms, 99), 4)
-      .num("health_trips", rep.health_trips)
-      .num("health_resets", rep.health_resets)
+      .report(rep)
       .num("reshards", reshards)
       .num("unrecovered", unrecovered)
-      .num("kills_fired", rep.kills_fired)
-      .num("quarantine_engages", rep.quarantine_engages)
       .num("marker_digest", rep.rollup.marker_digest)
       .num("service_markers", rep.rollup.service_markers)
       .boolean("deterministic",
@@ -250,7 +247,8 @@ int run(int argc, char** argv) {
       .boolean("accounted", rep.accounted());
 
   // Commit the failover marker log: the shed/reshard/trip sequence IS the
-  // telemetry (tenant_rollup reads it back identically post-mortem). Note
+  // telemetry (roll_up_tenants folds it back to the same marker count and
+  // digest post-mortem). Note
   // EXPERIMENTS.md on pre-flush trace loss: the KILLED device's in-flight
   // device-side events die with it — this log is the coordinator's view,
   // which is exactly what survives a real device loss.

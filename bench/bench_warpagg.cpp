@@ -275,15 +275,8 @@ int main(int argc, char** argv) {
           .num("warpagg_atomics_per_malloc",
                static_cast<double>(agg.atomics) / calls)
           .num("base_contention_per_malloc", contention)
-          .num("groups_combined", agg.agg.groups_combined)
-          .num("lanes_served", agg.agg.lanes_served)
           .num("lanes_per_group", lanes_per_group)
-          .num("passthrough_calls", agg.agg.passthrough_calls)
-          .num("slab_refills", agg.agg.slab_refills)
-          .num("solo_fallbacks", agg.agg.solo_fallbacks)
-          .num("probes", agg.agg.probes)
-          .num("switches_to_agg", agg.agg.switches_to_agg)
-          .num("switches_to_pass", agg.agg.switches_to_pass);
+          .report(agg.agg);
     }
   }
 

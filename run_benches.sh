@@ -2,9 +2,13 @@
 # Regenerates every paper table/figure with laptop-scale defaults.
 # Results land in results/*.txt (+ .csv); see EXPERIMENTS.md.
 #
-# --smoke: fast subset for per-change perf tracking — runs the bench_simt
-# engine timings (refreshing BENCH_simt.json, the recorded perf trajectory)
-# plus one allocator sweep as a sanity probe, and nothing else.
+# --smoke: fast subset for per-change checks — the bench_simt engine
+# timings (refreshing BENCH_simt.json, the documented smoke trajectory),
+# one allocator sweep, the record→replay round trip and the warpagg,
+# resilience, corpus and service gates at smoke scale. Every other smoke
+# JSON lands in results/<bench>_smoke.json: the committed BENCH_replay,
+# BENCH_warpagg, BENCH_resilience and BENCH_service files hold full runs,
+# and only the full sweep rewrites them.
 #
 # bench_simt sweeps -t o+s+h+c+r+x+a+f+b: the 17 device managers its seed
 # anchor was measured over (the default selection adds the host family).
@@ -94,22 +98,22 @@ if [[ $SMOKE -eq 1 ]]; then
   run "$R"/smoke_trace.txt     bench_workgen -t ScatterAlloc --max-exp 8 --iters 1 --mem-mb 64 \
                                --trace "$R"/reference.gmtrace
   run "$R"/smoke_replay.txt    bench_replay --trace "$R"/reference.ScatterAlloc.gmtrace \
-                               -t ScatterAlloc,Ouro-P-VA,Halloc,HostExtent --json BENCH_replay.json \
+                               -t ScatterAlloc,Ouro-P-VA,Halloc,HostExtent --json "$R"/replay_smoke.json \
                                --chrome "$R"/reference.chrome.json
   # Warp-aggregation A/B on a representative subset (the full matrix runs in
-  # the non-smoke sweep); refreshes BENCH_warpagg.json at the recorded
-  # contention point (32 SMs, 32 rounds/lane). --smoke also arms the
+  # the non-smoke sweep) at the recorded contention point (32 SMs, 32
+  # rounds/lane). --smoke also arms the
   # adaptive regression gate: a never-switched convergent cell must add
   # zero collectives (the no-tax contract, checked on a deterministic
   # counter because wall clock is stall-noisy on a throttled host), and a
   # storm cell whose "+W" speedup drops under 0.75x exits non-zero.
   run "$R"/smoke_warpagg.txt   bench_warpagg -t CUDA,Halloc,ScatterAlloc,Ouro-P-VA \
-                               --smoke --sms 32 --iters 32 --json BENCH_warpagg.json
+                               --smoke --sms 32 --iters 32 --json "$R"/warpagg_smoke.json
   # Failure-recovery A/B on a representative subset (full matrix in the
   # non-smoke sweep): base vs "+R" stack plus a fault round; exits non-zero
   # if any resilient run leaks an unrecovered allocation failure.
   run "$R"/smoke_resilience.txt bench_resilience -t ScatterAlloc,Halloc,Ouro-P-S \
-                               --sms 8 --iters 8 --json BENCH_resilience.json
+                               --sms 8 --iters 8 --json "$R"/resilience_smoke.json
   # Adversarial-corpus regression gate: replay every committed trace under
   # its pinned stack and fail on any verdict drift.
   run "$R"/smoke_corpus.txt    bench_replay --corpus results/corpus
@@ -118,7 +122,7 @@ if [[ $SMOKE -eq 1 ]]; then
   # truncation, a missed kill, unrecovered batches, or a same-seed
   # determinism break. The marker log is the failover telemetry CI archives.
   run "$R"/smoke_service.txt   bench_service --smoke --devices 2 --tenants 4 \
-                               --json BENCH_service.json \
+                               --json "$R"/service_smoke.json \
                                --trace "$R"/failover_markers.gmtrace
   finish
 fi

@@ -39,13 +39,4 @@ SizeClassMap SizeClassMap::parse(std::string_view text) {
   return map;
 }
 
-std::string SizeClassMap::to_string() const {
-  std::string out;
-  for (unsigned c = 0; c < num_; ++c) {
-    if (c) out += ':';
-    out += std::to_string(bytes_[c]);
-  }
-  return out;
-}
-
 }  // namespace gms::alloc_core

@@ -3,7 +3,6 @@
 #include <array>
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <string_view>
 
 #include "core/utils.h"
@@ -36,9 +35,6 @@ class SizeClassMap {
   /// form used by the runtime-Config layer. Throws core::ConfigError
   /// (kBadLadder) on empty/too-long/non-ascending input.
   static SizeClassMap parse(std::string_view text);
-
-  /// Inverse of parse(): colon-separated ascending rungs.
-  [[nodiscard]] std::string to_string() const;
 
   [[nodiscard]] unsigned num_classes() const { return num_; }
   [[nodiscard]] std::size_t class_bytes(unsigned c) const { return bytes_[c]; }

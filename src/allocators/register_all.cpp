@@ -50,12 +50,8 @@ void add_cfg(gpu::Device& probe_dev, char selector,
   add(probe_dev, selector, make_factory<Manager>(defaults), std::move(model));
 }
 
-}  // namespace
-
-void register_all_allocators() {
-  auto& reg = Registry::instance();
-  if (!reg.entries().empty()) return;  // idempotent
-
+/// The 20 bases, in registry order.
+void add_bases() {
   using alloc::Ouroboros;
   using alloc::RegEffAlloc;
   using QK = Ouroboros::QueueKind;
@@ -104,6 +100,15 @@ void register_all_allocators() {
   add_cfg<hostalloc::ExtentBestFit>(probe_dev, 'm');
   add_cfg<hostalloc::HostBuddy>(probe_dev, 'm');
   add_cfg<hostalloc::StreamPool>(probe_dev, 'm');
+}
+
+}  // namespace
+
+void register_all_allocators() {
+  // Its own once-flag, like register_stub_allocators(): entries another
+  // caller registered first (the survey stubs) are not the bases.
+  static const bool once = (add_bases(), true);
+  (void)once;
 }
 
 }  // namespace gms::core

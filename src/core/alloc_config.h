@@ -104,12 +104,28 @@ struct ConfigFieldInfo {
 
 enum class Pow2 : std::uint8_t { kNo, kYes };
 
+// Field validators (alloc_config.cpp) shared by every ConfigSchema<C>
+// instantiation, so the templated setters stay tiny.
+std::uint64_t config_parse_u64(const std::string& value,
+                               const std::string& field);
+double config_parse_double(const std::string& value, const std::string& field);
+bool config_parse_bool(const std::string& value, const std::string& field);
+void config_check_u64_range(std::uint64_t v, std::uint64_t lo,
+                            std::uint64_t hi, bool pow2,
+                            const std::string& field);
+void config_check_double_range(double v, double lo, double hi,
+                               const std::string& field);
+
 /// Declarative schema over a manager's Config struct: field bindings give
 /// parse (validated string -> member), serialize (member -> string) and
 /// reflection (ConfigFieldInfo) from one declaration per field. Cross-field
 /// invariants hang off check(). Identity fields (RegEff's fused/multi,
 /// Ouroboros' queue kind) are deliberately *not* bound: they distinguish
-/// registry entries and must not be overridable through "{k=v}".
+/// registry entries and must not be overridable through "{k=v}". The flat
+/// layer reports (ResilienceReport, AggregationReport, TenantReport,
+/// ServiceReport) declare their fields here too, as `schema()`: one list
+/// gives their `to_string()` and the benches' JSON records
+/// (JsonFields::report).
 template <typename C>
 class ConfigSchema {
  public:
@@ -136,8 +152,8 @@ class ConfigSchema {
       return std::to_string(static_cast<std::uint64_t>(c.*mem));
     };
     f.set = [mem, name, lo, hi, pow2](C& c, const std::string& value) {
-      const std::uint64_t v = parse_u64_value(value, name);
-      check_u64_range(v, lo, hi, pow2 == Pow2::kYes, name);
+      const std::uint64_t v = config_parse_u64(value, name);
+      config_check_u64_range(v, lo, hi, pow2 == Pow2::kYes, name);
       c.*mem = static_cast<M>(v);
     };
     add(std::move(info), std::move(f));
@@ -158,8 +174,8 @@ class ConfigSchema {
       return format_double(static_cast<double>(c.*mem));
     };
     f.set = [mem, name, lo, hi](C& c, const std::string& value) {
-      const double v = parse_double_value(value, name);
-      check_double_range(v, lo, hi, name);
+      const double v = config_parse_double(value, name);
+      config_check_double_range(v, lo, hi, name);
       c.*mem = static_cast<M>(v);
     };
     add(std::move(info), std::move(f));
@@ -174,7 +190,7 @@ class ConfigSchema {
     Field f;
     f.get = [mem](const C& c) { return c.*mem ? std::string("1") : "0"; };
     f.set = [mem, name](C& c, const std::string& value) {
-      c.*mem = parse_bool_value(value, name);
+      c.*mem = config_parse_bool(value, name);
     };
     add(std::move(info), std::move(f));
     return *this;
@@ -290,20 +306,6 @@ class ConfigSchema {
     return infos_;
   }
 
-  // Shared validation helpers (alloc_config.cpp) so the templated setters
-  // stay tiny.
-  static std::uint64_t parse_u64_value(const std::string& value,
-                                       const std::string& field);
-  static double parse_double_value(const std::string& value,
-                                   const std::string& field);
-  static bool parse_bool_value(const std::string& value,
-                               const std::string& field);
-  static void check_u64_range(std::uint64_t v, std::uint64_t lo,
-                              std::uint64_t hi, bool pow2,
-                              const std::string& field);
-  static void check_double_range(double v, double lo, double hi,
-                                 const std::string& field);
-
  private:
   struct Field {
     std::function<std::string(const C&)> get;
@@ -319,44 +321,6 @@ class ConfigSchema {
   std::vector<Field> fields_;
   std::vector<CrossCheck> checks_;
 };
-
-// Out-of-line helpers shared by every ConfigSchema<C> instantiation.
-std::uint64_t config_parse_u64(const std::string& value,
-                               const std::string& field);
-double config_parse_double(const std::string& value, const std::string& field);
-bool config_parse_bool(const std::string& value, const std::string& field);
-void config_check_u64_range(std::uint64_t v, std::uint64_t lo,
-                            std::uint64_t hi, bool pow2,
-                            const std::string& field);
-void config_check_double_range(double v, double lo, double hi,
-                               const std::string& field);
-
-template <typename C>
-std::uint64_t ConfigSchema<C>::parse_u64_value(const std::string& value,
-                                               const std::string& field) {
-  return config_parse_u64(value, field);
-}
-template <typename C>
-double ConfigSchema<C>::parse_double_value(const std::string& value,
-                                           const std::string& field) {
-  return config_parse_double(value, field);
-}
-template <typename C>
-bool ConfigSchema<C>::parse_bool_value(const std::string& value,
-                                       const std::string& field) {
-  return config_parse_bool(value, field);
-}
-template <typename C>
-void ConfigSchema<C>::check_u64_range(std::uint64_t v, std::uint64_t lo,
-                                      std::uint64_t hi, bool pow2,
-                                      const std::string& field) {
-  config_check_u64_range(v, lo, hi, pow2, field);
-}
-template <typename C>
-void ConfigSchema<C>::check_double_range(double v, double lo, double hi,
-                                         const std::string& field) {
-  config_check_double_range(v, lo, hi, field);
-}
 
 /// Type-erased view of one registry entry's config surface: the registry,
 /// the stack builder and the tuner all reach a manager's schema through

@@ -30,6 +30,17 @@ class JsonFields {
   JsonFields& num(std::string_view key, double value, int digits = 3);
   JsonFields& boolean(std::string_view key, bool value);
   JsonFields& raw(std::string_view key, std::string rendered);
+  /// Every field of a flat layer report, in its schema's order, as
+  /// `prefix` + field name. Report fields are all numeric, so each
+  /// serialized value is written as a JSON number. The caller includes
+  /// core/alloc_config.h.
+  template <typename Report>
+  JsonFields& report(const Report& r, std::string_view prefix = {}) {
+    for (auto& [key, value] : Report::schema().serialize(r)) {
+      fields_.emplace_back(std::string(prefix) + key, std::move(value));
+    }
+    return *this;
+  }
 
   /// Renders as `{"k": v, ...}` (single line).
   [[nodiscard]] std::string render() const;

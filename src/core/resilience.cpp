@@ -21,25 +21,36 @@ const ConfigSchema<ResilienceSpec>& ResilienceSpec::config_schema() {
   return schema;
 }
 
+const ConfigSchema<ResilienceReport>& ResilienceReport::schema() {
+  static const auto schema = [] {
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    ConfigSchema<ResilienceReport> s;
+    s.u64("inner_failures", &ResilienceReport::inner_failures, 0, kMax)
+        .u64("retries", &ResilienceReport::retries, 0, kMax)
+        .u64("retry_successes", &ResilienceReport::retry_successes, 0, kMax)
+        .u64("fallback_allocs", &ResilienceReport::fallback_allocs, 0, kMax)
+        .u64("fallback_frees", &ResilienceReport::fallback_frees, 0, kMax)
+        .u64("breaker_trips", &ResilienceReport::breaker_trips, 0, kMax)
+        .u64("breaker_resets", &ResilienceReport::breaker_resets, 0, kMax)
+        .u64("breaker_served", &ResilienceReport::breaker_served, 0, kMax)
+        .u64("unrecovered", &ResilienceReport::unrecovered, 0, kMax)
+        .u64("reserve_exhausted", &ResilienceReport::reserve_exhausted, 0,
+             kMax)
+        .u64("reserve_double_frees", &ResilienceReport::reserve_double_frees,
+             0, kMax)
+        .u64("reserve_invalid_frees",
+             &ResilienceReport::reserve_invalid_frees, 0, kMax)
+        .u64("reserve_used_bytes", &ResilienceReport::reserve_used_bytes, 0,
+             kMax)
+        .u64("reserve_capacity", &ResilienceReport::reserve_capacity, 0,
+             kMax);
+    return s;
+  }();
+  return schema;
+}
+
 std::string ResilienceReport::to_string() const {
-  std::string s = "[resilience] inner_failures=" +
-                  std::to_string(inner_failures) +
-                  " retries=" + std::to_string(retries) +
-                  " retry_successes=" + std::to_string(retry_successes) +
-                  " fallback_allocs=" + std::to_string(fallback_allocs) +
-                  " fallback_frees=" + std::to_string(fallback_frees) +
-                  " breaker_trips=" + std::to_string(breaker_trips) +
-                  " breaker_resets=" + std::to_string(breaker_resets) +
-                  " unrecovered=" + std::to_string(unrecovered);
-  s += " reserve_used=" + std::to_string(reserve_used_bytes) + "/" +
-       std::to_string(reserve_capacity);
-  if (reserve_double_frees > 0) {
-    s += " double_frees=" + std::to_string(reserve_double_frees);
-  }
-  if (reserve_invalid_frees > 0) {
-    s += " invalid_frees=" + std::to_string(reserve_invalid_frees);
-  }
-  return s;
+  return "[resilience] " + format_config(schema().serialize(*this));
 }
 
 }  // namespace gms::core

@@ -118,7 +118,8 @@ class CircuitBreaker {
 
 /// Host-side snapshot of the "+R" layer's bookkeeping — what
 /// bench_resilience prints per manager and what the acceptance criterion
-/// ("0 unrecovered failures") is asserted against.
+/// ("0 unrecovered failures") is asserted against. Its fields are listed
+/// once, in schema(): to_string() and the bench JSON both come from there.
 struct ResilienceReport {
   std::uint64_t inner_failures = 0;   ///< first-attempt nullptr returns
   std::uint64_t retries = 0;          ///< retry attempts issued
@@ -135,6 +136,9 @@ struct ResilienceReport {
   std::uint64_t reserve_used_bytes = 0;  ///< bump high-water mark
   std::uint64_t reserve_capacity = 0;
 
+  bool operator==(const ResilienceReport&) const = default;
+  static const ConfigSchema<ResilienceReport>& schema();
+  /// "[resilience] {inner_failures=N,...}", every field in schema order.
   [[nodiscard]] std::string to_string() const;
 };
 

@@ -26,12 +26,21 @@ Spec stage_spec(const ConfigKV& overrides) {
   return Spec::config_schema().parse(overrides, Spec{});
 }
 
-}  // namespace
-
-ManagerFactory StackBuilder::stage_factory(StackSpec::Stage stage,
-                                           ManagerFactory base,
-                                           const ConfigKV& config) {
+/// Factory wrapping `base` in one stage configured by `config` (the
+/// stage's "{k=v}" overrides, validated eagerly). A trace stage records
+/// into `rec`.
+ManagerFactory stage_factory(StackSpec::Stage stage, ManagerFactory base,
+                             const ConfigKV& config,
+                             trace::TraceRecorder* rec) {
   switch (stage) {
+    case StackSpec::Stage::kTrace:
+      StackSpec::check_knobs(stage, config);
+      return [base = std::move(base), rec](gpu::Device& dev,
+                                           std::size_t heap) {
+        return std::unique_ptr<MemoryManager>(
+            std::make_unique<trace::TracingManager>(base(dev, heap), *rec,
+                                                    dev.arena()));
+      };
     case StackSpec::Stage::kResilient:
       return [base = std::move(base),
               spec = stage_spec<ResilienceSpec>(config)](gpu::Device& dev,
@@ -59,12 +68,11 @@ ManagerFactory StackBuilder::stage_factory(StackSpec::Stage stage,
             std::make_unique<alloc_core::WarpAggregator>(base(dev, heap),
                                                          spec, dev));
       };
-    case StackSpec::Stage::kTrace:
-      break;
   }
-  throw std::invalid_argument{
-      "the trace stage needs a recorder and cannot be a standalone factory"};
+  return base;  // every Stage is handled above
 }
+
+}  // namespace
 
 BuiltStack StackBuilder::build(std::string_view spec,
                                std::size_t heap_bytes) const {
@@ -93,17 +101,8 @@ BuiltStack StackBuilder::build(const StackSpec& spec,
                          ? entry->factory
                          : entry->config->configured_factory(spec.base_config);
   for (auto it = spec.stages.rbegin(); it != spec.stages.rend(); ++it) {
-    if (it->stage == StackSpec::Stage::kTrace) {
-      StackSpec::check_knobs(it->stage, it->config);
-      f = [inner = std::move(f), rec = out.recorder.get()](
-              gpu::Device& dev, std::size_t heap) {
-        return std::unique_ptr<MemoryManager>(
-            std::make_unique<trace::TracingManager>(inner(dev, heap), *rec,
-                                                    dev.arena()));
-      };
-    } else {
-      f = stage_factory(it->stage, std::move(f), it->config);
-    }
+    f = stage_factory(it->stage, std::move(f), it->config,
+                      out.recorder.get());
   }
 
   dev_->arena().clear();  // identical cold start for every manager

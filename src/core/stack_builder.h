@@ -69,14 +69,6 @@ class StackBuilder {
   [[nodiscard]] BuiltStack build(std::string_view spec,
                                  std::size_t heap_bytes) const;
 
-  /// Factory wrapping `base` in one stage configured by `config` (the
-  /// stage's "{k=v}" overrides, validated eagerly) — the wiring build()
-  /// applies per stage. The trace stage needs a live recorder and cannot be
-  /// a standalone factory; passing kTrace throws std::invalid_argument.
-  static ManagerFactory stage_factory(StackSpec::Stage stage,
-                                      ManagerFactory base,
-                                      const ConfigKV& config = {});
-
  private:
   gpu::Device* dev_;
 };

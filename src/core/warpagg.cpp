@@ -30,17 +30,28 @@ const ConfigSchema<WarpAggSpec>& WarpAggSpec::config_schema() {
   return schema;
 }
 
+const ConfigSchema<AggregationReport>& AggregationReport::schema() {
+  static const auto schema = [] {
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    ConfigSchema<AggregationReport> s;
+    s.u64("passthrough_calls", &AggregationReport::passthrough_calls, 0, kMax)
+        .u64("groups_combined", &AggregationReport::groups_combined, 0, kMax)
+        .u64("lanes_served", &AggregationReport::lanes_served, 0, kMax)
+        .u64("slab_refills", &AggregationReport::slab_refills, 0, kMax)
+        .u64("slab_group_carves", &AggregationReport::slab_group_carves, 0,
+             kMax)
+        .u64("solo_fallbacks", &AggregationReport::solo_fallbacks, 0, kMax)
+        .u64("probes", &AggregationReport::probes, 0, kMax)
+        .u64("switches_to_agg", &AggregationReport::switches_to_agg, 0, kMax)
+        .u64("switches_to_pass", &AggregationReport::switches_to_pass, 0,
+             kMax);
+    return s;
+  }();
+  return schema;
+}
+
 std::string AggregationReport::to_string() const {
-  std::string s = "[warpagg] passthrough=" + std::to_string(passthrough_calls) +
-                  " groups=" + std::to_string(groups_combined) +
-                  " lanes=" + std::to_string(lanes_served) +
-                  " slab_refills=" + std::to_string(slab_refills) +
-                  " slab_carves=" + std::to_string(slab_group_carves) +
-                  " solo=" + std::to_string(solo_fallbacks) +
-                  " probes=" + std::to_string(probes);
-  s += " switches=" + std::to_string(switches_to_agg) + "/" +
-       std::to_string(switches_to_pass);
-  return s;
+  return "[warpagg] " + format_config(schema().serialize(*this));
 }
 
 }  // namespace gms::core

@@ -65,7 +65,9 @@ struct WarpAggSpec {
 };
 
 /// Host-side snapshot of the "+W" layer's bookkeeping — what bench_warpagg
-/// prints per manager and what the adaptive columns are derived from.
+/// prints per manager and what the adaptive columns are derived from. Its
+/// fields are listed once, in schema(): to_string() and the bench JSON
+/// both come from there.
 struct AggregationReport {
   std::uint64_t passthrough_calls = 0;  ///< mallocs served on the lane path
   std::uint64_t groups_combined = 0;    ///< coalesced groups served together
@@ -77,6 +79,9 @@ struct AggregationReport {
   std::uint64_t switches_to_agg = 0;
   std::uint64_t switches_to_pass = 0;
 
+  bool operator==(const AggregationReport&) const = default;
+  static const ConfigSchema<AggregationReport>& schema();
+  /// "[warpagg] {passthrough_calls=N,...}", every field in schema order.
   [[nodiscard]] std::string to_string() const;
 };
 

@@ -1,7 +1,6 @@
 #include "hostalloc/extent_best_fit.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "core/utils.h"
 
@@ -215,20 +214,6 @@ core::AuditResult ExtentBestFit::audit() {
          " slots for " + std::to_string(live_published) + " live extents");
   }
   return r;
-}
-
-void ExtentBestFit::get_debug_string(char* buffer, std::size_t buf_size) const {
-  std::snprintf(buffer, buf_size,
-                "HostExtent: %llu/%llu KiB free, largest %llu KiB, "
-                "%zu live, %zu extents, %llu carves, %llu coalesces, "
-                "%llu handoff overflows",
-                static_cast<unsigned long long>(extents_.free_bytes() >> 10),
-                static_cast<unsigned long long>(pool_bytes_ >> 10),
-                static_cast<unsigned long long>(extents_.largest_free() >> 10),
-                live_.size(), extents_.extent_count(),
-                static_cast<unsigned long long>(carves_),
-                static_cast<unsigned long long>(coalesces_),
-                static_cast<unsigned long long>(handoff_overflows_));
 }
 
 }  // namespace gms::hostalloc

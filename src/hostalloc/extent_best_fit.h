@@ -57,10 +57,6 @@ class ExtentBestFit final : public HostManagerBase {
   void free(gpu::ThreadCtx& ctx, void* ptr) override;
   [[nodiscard]] core::AuditResult audit() override;
 
-  // ---- HostIntrospection ------------------------------------------------
-  [[nodiscard]] const char* host_name() const override { return "HostExtent"; }
-  void get_debug_string(char* buffer, std::size_t buf_size) const override;
-
   // ---- device-side handle resolution ------------------------------------
   /// Reads the handoff table from "device" code: returns the arena offset
   /// published for `slot` (kEmptySlot if vacant/out of range) and its length

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 #include "core/utils.h"
 
@@ -188,17 +187,6 @@ core::AuditResult HostBuddy::audit() {
          ", walked " + std::to_string(walked_free_bytes));
   }
   return r;
-}
-
-void HostBuddy::get_debug_string(char* buffer, std::size_t buf_size) const {
-  std::snprintf(buffer, buf_size,
-                "HostBuddy: %llu/%llu KiB free, %zu live, orders %u..%u, "
-                "%llu splits, %llu merges",
-                static_cast<unsigned long long>(free_bytes_ >> 10),
-                static_cast<unsigned long long>(pool_bytes_ >> 10),
-                live_.size(), 0u, max_order_,
-                static_cast<unsigned long long>(splits_),
-                static_cast<unsigned long long>(merges_));
 }
 
 }  // namespace gms::hostalloc

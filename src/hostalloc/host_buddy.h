@@ -37,10 +37,6 @@ class HostBuddy final : public HostManagerBase {
   void free(gpu::ThreadCtx& ctx, void* ptr) override;
   [[nodiscard]] core::AuditResult audit() override;
 
-  // ---- HostIntrospection ------------------------------------------------
-  [[nodiscard]] const char* host_name() const override { return "HostBuddy"; }
-  void get_debug_string(char* buffer, std::size_t buf_size) const override;
-
   // ---- host-side introspection (quiescent) -------------------------------
   [[nodiscard]] std::uint64_t pool_bytes() const { return pool_bytes_; }
   [[nodiscard]] std::uint64_t free_bytes() const { return free_bytes_; }

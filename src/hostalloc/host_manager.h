@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "alloc_core/sub_arena.h"
 #include "allocators/common.h"
@@ -13,32 +12,10 @@
 
 namespace gms::hostalloc {
 
-/// Uniform debug/introspection surface across the host-based family, in the
-/// ppsspp `GPUMemoryManager` idiom (SNIPPETS.md snippet 3): a name, a
-/// fixed-buffer debug string, and a process-wide registry of the managers
-/// currently alive so tooling can enumerate them without owning them.
-class HostIntrospection {
- public:
-  virtual ~HostIntrospection() = default;
-
-  [[nodiscard]] virtual const char* host_name() const = 0;
-
-  /// Writes a single-line, NUL-terminated utilization summary into `buffer`
-  /// (truncated to `buf_size`). Quiescent-only, like audit().
-  virtual void get_debug_string(char* buffer, std::size_t buf_size) const = 0;
-};
-
-/// Registry of live host-based managers (mutex-guarded; registration happens
-/// in HostManagerBase's ctor/dtor, enumeration from tests and tooling).
-void register_host_manager(HostIntrospection* mgr);
-void unregister_host_manager(HostIntrospection* mgr);
-[[nodiscard]] std::vector<HostIntrospection*> active_host_managers();
-
 /// Common substrate of the host-based allocator family (DESIGN.md §14):
 /// a SubArena slice of the device heap, one arena-resident spin-lock word
-/// serializing host planning (the family's honest RPC-serialization cost),
-/// a trace::MarkerSink for placement markers (trace::EventKind 48-51), and
-/// automatic introspection registration.
+/// serializing host planning (the family's honest RPC-serialization cost)
+/// and a trace::MarkerSink for placement markers (trace::EventKind 48-51).
 ///
 /// Cancellation safety: the planning structures are ordinary host-side
 /// containers, but every mutation happens inside a DeviceSpinLock critical
@@ -47,10 +24,8 @@ void unregister_host_manager(HostIntrospection* mgr);
 /// acquired the lock or ran the section to completion. Unlike the
 /// device-side managers, a cancelled kernel therefore loses *nothing*:
 /// audits check strict byte accounting, not merely structural soundness.
-class HostManagerBase : public core::MemoryManager, public HostIntrospection {
+class HostManagerBase : public core::MemoryManager {
  public:
-  ~HostManagerBase() override;
-
   HostManagerBase(const HostManagerBase&) = delete;
   HostManagerBase& operator=(const HostManagerBase&) = delete;
 
@@ -60,7 +35,11 @@ class HostManagerBase : public core::MemoryManager, public HostIntrospection {
   void set_marker_sink(trace::MarkerSink* sink) { sink_ = sink; }
 
  protected:
-  HostManagerBase(gpu::Device& dev, std::size_t heap_bytes);
+  HostManagerBase(gpu::Device& dev, std::size_t heap_bytes)
+      : dev_(&dev), arena_(dev, heap_bytes) {
+    lock_word_ = arena_.take<std::uint32_t>(1, 64, "host planner lock");
+    *lock_word_ = 0;
+  }
 
   [[nodiscard]] alloc::DeviceSpinLock planner_lock() const {
     return alloc::DeviceSpinLock{lock_word_};

@@ -1,7 +1,6 @@
 #include "hostalloc/stream_pool.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "core/utils.h"
 
@@ -254,20 +253,6 @@ core::AuditResult StreamPool::audit() {
          std::to_string(pool_bytes_));
   }
   return r;
-}
-
-void StreamPool::get_debug_string(char* buffer, std::size_t buf_size) const {
-  std::uint64_t deferred = 0;
-  for (const StreamState& st : streams_) deferred += st.deferred_bytes;
-  std::snprintf(buffer, buf_size,
-                "StreamPool: %llu/%llu KiB free, %llu KiB deferred on %u "
-                "streams, %zu live, %llu reuses, %llu syncs, %llu starved",
-                static_cast<unsigned long long>(extents_.free_bytes() >> 10),
-                static_cast<unsigned long long>(pool_bytes_ >> 10),
-                static_cast<unsigned long long>(deferred >> 10), cfg_.streams,
-                live_.size(), static_cast<unsigned long long>(reuses_),
-                static_cast<unsigned long long>(syncs_),
-                static_cast<unsigned long long>(starved_));
 }
 
 }  // namespace gms::hostalloc

@@ -61,10 +61,6 @@ class StreamPool final : public HostManagerBase {
   void free(gpu::ThreadCtx& ctx, void* ptr) override;
   [[nodiscard]] core::AuditResult audit() override;
 
-  // ---- HostIntrospection ------------------------------------------------
-  [[nodiscard]] const char* host_name() const override { return "StreamPool"; }
-  void get_debug_string(char* buffer, std::size_t buf_size) const override;
-
   // ---- device-visible stream ops ----------------------------------------
   /// Immediately publishes the calling stream's deferred + cached bytes to
   /// the global map (cudaMemPoolTrimTo(0) for one stream). Emits a kTrim

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <thread>
+
+#include "core/alloc_config.h"
 
 namespace gms::service {
 
@@ -410,14 +413,26 @@ ServiceReport AllocService::run_until_drained() {
   return rep;
 }
 
+const core::ConfigSchema<ServiceReport>& ServiceReport::schema() {
+  static const auto schema = [] {
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    core::ConfigSchema<ServiceReport> s;
+    s.u64("rounds", &ServiceReport::rounds, 0, kMax)
+        .u64("batches_executed", &ServiceReport::batches_executed, 0, kMax)
+        .u64("health_trips", &ServiceReport::health_trips, 0, kMax)
+        .u64("health_resets", &ServiceReport::health_resets, 0, kMax)
+        .u64("quarantine_engages", &ServiceReport::quarantine_engages, 0,
+             kMax)
+        .u64("kills_fired", &ServiceReport::kills_fired, 0, kMax)
+        .dbl("wall_ms", &ServiceReport::wall_ms, 0,
+             std::numeric_limits<double>::max());
+    return s;
+  }();
+  return schema;
+}
+
 std::string ServiceReport::to_string() const {
-  std::string s = "[service] rounds=" + std::to_string(rounds) +
-                  " batches=" + std::to_string(batches_executed) +
-                  " trips=" + std::to_string(health_trips) +
-                  " resets=" + std::to_string(health_resets) +
-                  " quarantine=" + std::to_string(quarantine_engages) +
-                  " kills=" + std::to_string(kills_fired) +
-                  (accounted() ? "" : " [UNACCOUNTED]");
+  std::string s = "[service] " + core::format_config(schema().serialize(*this));
   for (const auto& [id, rep] : tenants) s += "\n  " + rep.to_string();
   return s;
 }

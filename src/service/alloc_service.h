@@ -58,7 +58,8 @@ struct KillHook {
 };
 
 /// Full run report: per-tenant accounting plus the service-wide health and
-/// marker telemetry. `accounted()` is the no-silent-truncation gate.
+/// marker telemetry. `accounted()` is the no-silent-truncation gate. Its
+/// scalar fields are listed once, in schema().
 struct ServiceReport {
   std::map<std::uint32_t, TenantReport> tenants;
   std::uint64_t rounds = 0;
@@ -71,7 +72,7 @@ struct ServiceReport {
   /// Submit-side latency of every executed batch (any verdict), in
   /// execution order — the bench derives p50/p99 from this.
   std::vector<double> batch_ms;
-  trace::ServiceRollup rollup;  ///< from the marker log (digest inside)
+  trace::ServiceRollup rollup;  ///< marker count and digest of the log
 
   /// True iff every tenant's ledger balances (no batch vanished without a
   /// typed verdict).
@@ -81,6 +82,12 @@ struct ServiceReport {
     }
     return true;
   }
+
+  bool operator==(const ServiceReport&) const = default;
+  /// The scalar fields (rounds ... wall_ms); tenants, batch_ms and rollup
+  /// are not in it.
+  static const core::ConfigSchema<ServiceReport>& schema();
+  /// "[service] {rounds=N,...}", then one TenantReport line per tenant.
   [[nodiscard]] std::string to_string() const;
 };
 

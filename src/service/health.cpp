@@ -65,15 +65,4 @@ std::uint64_t HealthTracker::verdict_count(unsigned shard,
       std::memory_order_relaxed);
 }
 
-std::string HealthTracker::to_string() const {
-  std::string s = "[health]";
-  for (unsigned i = 0; i < shards_.size(); ++i) {
-    s += " shard" + std::to_string(i) + "=" +
-         service::to_string(health(i)) + "(trips=" +
-         std::to_string(trips(i)) + ",resets=" + std::to_string(resets(i)) +
-         ")";
-  }
-  return s;
-}
-
 }  // namespace gms::service

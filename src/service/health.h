@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/resilience.h"
@@ -17,15 +16,6 @@ enum class ShardHealth : std::uint8_t {
   kDraining,  ///< breaker tripped; tenants being re-sharded away
   kDead,      ///< draining shard whose process/device is gone
 };
-
-[[nodiscard]] constexpr const char* to_string(ShardHealth s) {
-  switch (s) {
-    case ShardHealth::kHealthy: return "healthy";
-    case ShardHealth::kDraining: return "draining";
-    case ShardHealth::kDead: return "dead";
-  }
-  return "?";
-}
 
 /// Per-device health tracking over the survey verdict taxonomy, built on
 /// the core/resilience.h CircuitBreaker so the service reuses the exact
@@ -94,8 +84,6 @@ class HealthTracker {
   /// Per-verdict counts for shard telemetry ("how did this device fail").
   [[nodiscard]] std::uint64_t verdict_count(unsigned shard,
                                             core::Verdict v) const;
-
-  [[nodiscard]] std::string to_string() const;
 
  private:
   struct Shard {

@@ -18,24 +18,33 @@ const core::ConfigSchema<QuotaSpec>& QuotaSpec::config_schema() {
   return schema;
 }
 
+const core::ConfigSchema<TenantReport>& TenantReport::schema() {
+  static const auto schema = [] {
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    core::ConfigSchema<TenantReport> s;
+    s.u64("tenant", &TenantReport::tenant, 0, ~std::uint32_t{0})
+        .u64("submitted_batches", &TenantReport::submitted_batches, 0, kMax)
+        .u64("completed_batches", &TenantReport::completed_batches, 0, kMax)
+        .u64("shed_batches", &TenantReport::shed_batches, 0, kMax)
+        .u64("quota_rejected_batches", &TenantReport::quota_rejected_batches,
+             0, kMax)
+        .u64("unrecovered_batches", &TenantReport::unrecovered_batches, 0,
+             kMax)
+        .u64("ops_ok", &TenantReport::ops_ok, 0, kMax)
+        .u64("ops_failed", &TenantReport::ops_failed, 0, kMax)
+        .u64("orphaned_frees", &TenantReport::orphaned_frees, 0, kMax)
+        .u64("retries", &TenantReport::retries, 0, kMax)
+        .u64("reshards", &TenantReport::reshards, 0, kMax)
+        .u64("outstanding_bytes", &TenantReport::outstanding_bytes, 0, kMax)
+        .u64("lost_bytes", &TenantReport::lost_bytes, 0, kMax);
+    return s;
+  }();
+  return schema;
+}
+
 std::string TenantReport::to_string() const {
-  std::string s = "tenant " + std::to_string(tenant) + ": submitted=" +
-                  std::to_string(submitted_batches) +
-                  " completed=" + std::to_string(completed_batches) +
-                  " shed=" + std::to_string(shed_batches) +
-                  " quota_rejected=" + std::to_string(quota_rejected_batches) +
-                  " unrecovered=" + std::to_string(unrecovered_batches) +
-                  " ops_ok=" + std::to_string(ops_ok) +
-                  " ops_failed=" + std::to_string(ops_failed);
-  if (orphaned_frees > 0) {
-    s += " orphaned_frees=" + std::to_string(orphaned_frees);
-  }
-  if (retries > 0) s += " retries=" + std::to_string(retries);
-  if (reshards > 0) s += " reshards=" + std::to_string(reshards);
-  s += " outstanding=" + std::to_string(outstanding_bytes);
-  if (lost_bytes > 0) s += " lost=" + std::to_string(lost_bytes);
-  if (!accounted()) s += " [UNACCOUNTED]";
-  return s;
+  return "[tenant] " + core::format_config(schema().serialize(*this)) +
+         (accounted() ? "" : " [UNACCOUNTED]");
 }
 
 }  // namespace gms::service

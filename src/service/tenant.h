@@ -22,16 +22,6 @@ enum class AdmitVerdict : std::uint8_t {
   kShed,           ///< overload: token bucket dry or round budget exceeded
 };
 
-[[nodiscard]] constexpr const char* to_string(AdmitVerdict v) {
-  switch (v) {
-    case AdmitVerdict::kAdmitted: return "admitted";
-    case AdmitVerdict::kOverByteQuota: return "over-byte-quota";
-    case AdmitVerdict::kOverOpQuota: return "over-op-quota";
-    case AdmitVerdict::kShed: return "shed";
-  }
-  return "?";
-}
-
 /// Per-tenant admission policy: quotas are hard caps (typed rejection),
 /// the token bucket is the overload valve (shed, resubmittable). All
 /// counters are ops/bytes — never wall clock — so admission decisions
@@ -92,7 +82,7 @@ struct Batch {
 /// Host-side accounting for one tenant, reported per run and used by the
 /// truncation gate: submitted == completed + shed + quota_rejected +
 /// unrecovered must hold for every tenant, or the service lost a batch
-/// silently.
+/// silently. Its fields are listed once, in schema().
 struct TenantReport {
   std::uint32_t tenant = 0;
   std::uint64_t submitted_batches = 0;
@@ -115,6 +105,10 @@ struct TenantReport {
                                     unrecovered_batches;
   }
 
+  bool operator==(const TenantReport&) const = default;
+  static const core::ConfigSchema<TenantReport>& schema();
+  /// "[tenant] {tenant=N,...}", every field in schema order, then
+  /// " [UNACCOUNTED]" when the ledger does not balance.
   [[nodiscard]] std::string to_string() const;
 };
 

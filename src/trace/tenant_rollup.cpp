@@ -14,33 +14,10 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 
 }  // namespace
 
-std::string TenantTelemetry::to_string() const {
-  return "tenant " + std::to_string(tenant) +
-         ": shed=" + std::to_string(shed_batches) + " (" +
-         std::to_string(shed_ops) + " ops)" +
-         " quota_rejects=" + std::to_string(quota_rejects) +
-         " reshards=" + std::to_string(reshards) +
-         " retries=" + std::to_string(retries);
-}
-
-std::string ServiceRollup::to_string() const {
-  std::string s = "[service rollup] markers=" +
-                  std::to_string(service_markers) +
-                  " trips=" + std::to_string(health_trips) +
-                  " resets=" + std::to_string(health_resets) +
-                  " quarantines=" + std::to_string(quarantine_engages) +
-                  " digest=" + std::to_string(marker_digest);
-  for (const auto& [id, t] : tenants) {
-    s += "\n  " + t.to_string();
-  }
-  return s;
-}
-
 ServiceRollup roll_up_tenants(const std::vector<TraceEvent>& events) {
   ServiceRollup out;
   for (const auto& ev : events) {
-    const auto kind = ev.event_kind();
-    if (!is_service_event(kind)) continue;
+    if (!is_service_event(ev.event_kind())) continue;
     ++out.service_markers;
     fnv_mix(out.marker_digest, ev.kind);
     fnv_mix(out.marker_digest, ev.thread_rank);
@@ -48,45 +25,6 @@ ServiceRollup roll_up_tenants(const std::vector<TraceEvent>& events) {
     fnv_mix(out.marker_digest, ev.kernel_seq);
     fnv_mix(out.marker_digest, ev.size);
     fnv_mix(out.marker_digest, ev.offset);
-    auto& tenant = out.tenants[ev.thread_rank];
-    tenant.tenant = ev.thread_rank;
-    switch (kind) {
-      case EventKind::kTenantShed:
-        ++tenant.shed_batches;
-        tenant.shed_ops += ev.size;
-        break;
-      case EventKind::kQuotaReject:
-        ++tenant.quota_rejects;
-        break;
-      case EventKind::kTenantReshard:
-        ++tenant.reshards;
-        break;
-      case EventKind::kBatchRetry:
-        ++tenant.retries;
-        break;
-      case EventKind::kShardHealthTrip:
-        ++out.health_trips;
-        break;
-      case EventKind::kShardHealthReset:
-        ++out.health_resets;
-        break;
-      case EventKind::kQuarantineEngage:
-        ++out.quarantine_engages;
-        break;
-      default:
-        break;
-    }
-  }
-  // Health transitions are shard-scoped: drop the tenant rows the map
-  // fabricated for them (thread_rank is a shard-free 0 there).
-  for (auto it = out.tenants.begin(); it != out.tenants.end();) {
-    const auto& t = it->second;
-    if (t.shed_batches == 0 && t.quota_rejects == 0 && t.reshards == 0 &&
-        t.retries == 0) {
-      it = out.tenants.erase(it);
-    } else {
-      ++it;
-    }
   }
   return out;
 }

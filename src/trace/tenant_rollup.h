@@ -1,39 +1,18 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "trace/trace_event.h"
 
 namespace gms::trace {
 
-/// Per-tenant aggregation of the AllocService marker range (kinds 40-46):
-/// the billing/telemetry view of one service run, computable from a live
-/// event log or from a committed failover .gmtrace alike — the marker file
-/// IS the telemetry source, so post-mortem tooling and the live service
-/// report can never disagree.
-struct TenantTelemetry {
-  std::uint32_t tenant = 0;
-  std::uint64_t shed_batches = 0;
-  std::uint64_t shed_ops = 0;
-  std::uint64_t quota_rejects = 0;
-  std::uint64_t reshards = 0;
-  std::uint64_t retries = 0;
-
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Service-wide rollup: per-tenant rows plus the shard-level health
-/// transitions (trips/resets are per shard, not per tenant) and the
-/// deterministic marker digest the failover acceptance gate compares
-/// across same-seed reruns.
+/// What a service marker log (kinds 40-46) folds to, computable from a live
+/// event log or from a committed failover .gmtrace alike: the marker count
+/// and the deterministic digest the failover acceptance gate compares
+/// across same-seed reruns. The per-tenant and per-shard counts live in
+/// the host-side ServiceReport.
 struct ServiceRollup {
-  std::map<std::uint32_t, TenantTelemetry> tenants;
-  std::uint64_t health_trips = 0;
-  std::uint64_t health_resets = 0;
-  std::uint64_t quarantine_engages = 0;
   std::uint64_t service_markers = 0;  ///< total events in the 40-46 range
   /// FNV-1a over (kind, tenant, shard, round, size, offset) of every
   /// service marker in sequence order. Timing fields are excluded, so two
@@ -41,7 +20,7 @@ struct ServiceRollup {
   /// though their wall clocks differ.
   std::uint64_t marker_digest = 1469598103934665603ull;
 
-  [[nodiscard]] std::string to_string() const;
+  bool operator==(const ServiceRollup&) const = default;
 };
 
 /// Folds every service marker in `events` (any other kinds are skipped)

@@ -45,8 +45,8 @@ enum class EventKind : std::uint8_t {
 
   // Multi-device AllocService markers (DESIGN.md §13). Per-tenant records:
   // thread_rank carries the tenant id, block the shard id, kernel_seq the
-  // service round. Markers like 24-34 — exported, rolled up per tenant by
-  // trace::tenant_rollup, never part of the canonical digest — so the
+  // service round. Markers like 24-34 — exported, counted and hashed by
+  // trace::roll_up_tenants, never part of the canonical digest — so the
   // failover acceptance gate can hash exactly this sequence.
   kTenantShed = 40,        ///< size = ops shed; offset = tokens left
   kQuotaReject = 41,       ///< size = bytes asked; offset = outstanding bytes

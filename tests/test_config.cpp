@@ -1,5 +1,6 @@
 // The runtime-Config layer end to end: "{k=v}" parsing edge cases, typed
-// ConfigError rejections, per-entry round-trip identity for every
+// ConfigError rejections, the layer reports' one field list each (text,
+// JSON and round trip), per-entry round-trip identity for every
 // configurable registry variant, stack-spec plumbing down to a live
 // manager, and the replay-driven tuner's seed-determinism (driven by a
 // fake EvalFn so no replay cells fork here).
@@ -12,9 +13,13 @@
 #include "allocators/scatter_alloc.h"
 #include "allocators/xmalloc.h"
 #include "core/alloc_config.h"
+#include "core/json_writer.h"
 #include "core/registry.h"
+#include "core/resilience.h"
 #include "core/stack_builder.h"
+#include "core/warpagg.h"
 #include "gpu/device.h"
+#include "service/alloc_service.h"
 #include "trace/trace_recorder.h"
 #include "tuning/tuner.h"
 
@@ -169,6 +174,142 @@ TEST(ConfigSchemaTest, TypedRejections) {
   EXPECT_NO_THROW((void)oschema.parse(
       {{"num_classes", "11"}, {"chunk_bytes", "16384"}},
       alloc::Ouroboros::Config{}));
+}
+
+// ---- Layer reports: one field list each ----------------------------------
+
+/// The report contract, for `r` with every member set to a distinct value
+/// and `expect` naming each member with that value in declaration order:
+/// the braced part of to_string() is exactly `expect`, a JSON case written
+/// through JsonFields::report carries every member under its prefixed
+/// name, and the schema rebuilds `r` member for member.
+template <typename Report>
+void expect_report_contract(const Report& r, const ConfigKV& expect) {
+  const std::string text = r.to_string();
+  const auto open = text.find('{');
+  ASSERT_NE(open, std::string::npos) << text;
+  EXPECT_EQ(parse_config_overrides(
+                text.substr(open, text.find('}') - open + 1)),
+            expect)
+      << text;
+
+  BenchJson json("report");
+  json.add_case().report(r, "fault_");
+  const std::string rendered = json.render();
+  for (const auto& [name, value] : expect) {
+    const std::string field = "\"fault_" + name + "\": " + value;
+    const auto at = rendered.find(field);
+    ASSERT_NE(at, std::string::npos) << field << " in " << rendered;
+    EXPECT_NE(std::string(",}").find(rendered[at + field.size()]),
+              std::string::npos)
+        << field << " in " << rendered;
+  }
+
+  const Report back = Report::schema().parse(Report::schema().serialize(r), {});
+  EXPECT_TRUE(back == r);
+}
+
+TEST(ReportSchema, ResilienceReport) {
+  ResilienceReport r;
+  r.inner_failures = 101;
+  r.retries = 102;
+  r.retry_successes = 103;
+  r.fallback_allocs = 104;
+  r.fallback_frees = 105;
+  r.breaker_trips = 106;
+  r.breaker_resets = 107;
+  r.breaker_served = 108;
+  r.unrecovered = 109;
+  r.reserve_exhausted = 110;
+  r.reserve_double_frees = 111;
+  r.reserve_invalid_frees = 112;
+  r.reserve_used_bytes = 113;
+  r.reserve_capacity = 114;
+  expect_report_contract(
+      r, {{"inner_failures", "101"}, {"retries", "102"},
+          {"retry_successes", "103"}, {"fallback_allocs", "104"},
+          {"fallback_frees", "105"}, {"breaker_trips", "106"},
+          {"breaker_resets", "107"}, {"breaker_served", "108"},
+          {"unrecovered", "109"}, {"reserve_exhausted", "110"},
+          {"reserve_double_frees", "111"}, {"reserve_invalid_frees", "112"},
+          {"reserve_used_bytes", "113"}, {"reserve_capacity", "114"}});
+  EXPECT_EQ(r.to_string().rfind("[resilience] {", 0), 0u) << r.to_string();
+}
+
+TEST(ReportSchema, AggregationReport) {
+  AggregationReport r;
+  r.passthrough_calls = 201;
+  r.groups_combined = 202;
+  r.lanes_served = 203;
+  r.slab_refills = 204;
+  r.slab_group_carves = 205;
+  r.solo_fallbacks = 206;
+  r.probes = 207;
+  r.switches_to_agg = 208;
+  r.switches_to_pass = 209;
+  expect_report_contract(
+      r, {{"passthrough_calls", "201"}, {"groups_combined", "202"},
+          {"lanes_served", "203"}, {"slab_refills", "204"},
+          {"slab_group_carves", "205"}, {"solo_fallbacks", "206"},
+          {"probes", "207"}, {"switches_to_agg", "208"},
+          {"switches_to_pass", "209"}});
+  EXPECT_EQ(r.to_string().rfind("[warpagg] {", 0), 0u) << r.to_string();
+}
+
+service::TenantReport distinct_tenant() {
+  service::TenantReport r;
+  r.tenant = 7;
+  r.submitted_batches = 301;
+  r.completed_batches = 302;
+  r.shed_batches = 303;
+  r.quota_rejected_batches = 304;
+  r.unrecovered_batches = 305;
+  r.ops_ok = 306;
+  r.ops_failed = 307;
+  r.orphaned_frees = 308;
+  r.retries = 309;
+  r.reshards = 310;
+  r.outstanding_bytes = 311;
+  r.lost_bytes = 312;
+  return r;
+}
+
+TEST(ReportSchema, TenantReport) {
+  auto r = distinct_tenant();
+  expect_report_contract(
+      r, {{"tenant", "7"}, {"submitted_batches", "301"},
+          {"completed_batches", "302"}, {"shed_batches", "303"},
+          {"quota_rejected_batches", "304"}, {"unrecovered_batches", "305"},
+          {"ops_ok", "306"}, {"ops_failed", "307"}, {"orphaned_frees", "308"},
+          {"retries", "309"}, {"reshards", "310"},
+          {"outstanding_bytes", "311"}, {"lost_bytes", "312"}});
+  // 301 batches in, 1214 accounted for: the ledger does not balance.
+  const std::string text = r.to_string();
+  EXPECT_EQ(text.rfind("[tenant] {", 0), 0u) << text;
+  EXPECT_TRUE(text.ends_with("} [UNACCOUNTED]")) << text;
+  r.submitted_batches = 302 + 303 + 304 + 305;
+  EXPECT_TRUE(r.to_string().ends_with("}")) << r.to_string();
+}
+
+TEST(ReportSchema, ServiceReportScalars) {
+  service::ServiceReport r;
+  r.rounds = 401;
+  r.batches_executed = 402;
+  r.health_trips = 403;
+  r.health_resets = 404;
+  r.quarantine_engages = 405;
+  r.kills_fired = 406;
+  r.wall_ms = 407.25;
+  expect_report_contract(
+      r, {{"rounds", "401"}, {"batches_executed", "402"},
+          {"health_trips", "403"}, {"health_resets", "404"},
+          {"quarantine_engages", "405"}, {"kills_fired", "406"},
+          {"wall_ms", "407.25"}});
+  // One line per tenant follows the service's own fields.
+  r.tenants[7] = distinct_tenant();
+  const std::string text = r.to_string();
+  EXPECT_EQ(text.rfind("[service] {", 0), 0u) << text;
+  EXPECT_TRUE(text.ends_with("\n  " + distinct_tenant().to_string())) << text;
 }
 
 // ---- Every configurable registry entry round-trips -----------------------

@@ -1,7 +1,7 @@
 // Host-based allocator family tests (DESIGN.md §14): the ExtentMap planning
 // structure's best-fit/coalescing/accounting invariants, the HostExtent
-// device-visible handoff table, HostBuddy's split/merge invariants, the
-// introspection registry, and — the family's defining behaviour — the
+// device-visible handoff table, HostBuddy's split/merge invariants, and —
+// the family's defining behaviour — the
 // StreamPool's stream-ordered deferred reclamation: a free on stream A is
 // immediately reusable by A, invisible to stream B until the next sync
 // point, and honestly reported as exhaustion-before-sync when it starves a
@@ -9,7 +9,6 @@
 // injected faults (host planning loses nothing; see HostManagerBase).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -240,41 +239,6 @@ TEST(HostBuddy, MixedChurnTilesThePoolExactly) {
   dev.launch_n(128, [&](ThreadCtx& t) { mgr.free(t, ptrs[t.thread_rank()]); });
   EXPECT_EQ(mgr.free_bytes(), pool);
   EXPECT_TRUE(mgr.audit().ok);
-}
-
-// ---- introspection registry -------------------------------------------------
-
-TEST(HostIntrospection, ActiveManagersEnumerateWithDebugStrings) {
-  const auto baseline = hostalloc::active_host_managers().size();
-  Device d1(4u << 20, GpuConfig{.num_sms = 1});
-  Device d2(4u << 20, GpuConfig{.num_sms = 1});
-  Device d3(4u << 20, GpuConfig{.num_sms = 1});
-  {
-    hostalloc::ExtentBestFit extent(d1, 2u << 20);
-    hostalloc::HostBuddy buddy(d2, 2u << 20);
-    hostalloc::StreamPool pool(d3, 2u << 20);
-
-    const auto active = hostalloc::active_host_managers();
-    EXPECT_EQ(active.size(), baseline + 3);
-    std::vector<std::string> names;
-    for (const auto* m : active) names.emplace_back(m->host_name());
-    for (const char* expect : {"HostExtent", "HostBuddy", "StreamPool"}) {
-      EXPECT_NE(std::find(names.begin(), names.end(), expect), names.end())
-          << expect;
-    }
-    // The fixed-buffer debug string is NUL-terminated, truncation-safe, and
-    // names the manager (the ppsspp GPUMemoryManager idiom).
-    char buf[160];
-    for (const auto* m : active) {
-      m->get_debug_string(buf, sizeof buf);
-      EXPECT_NE(std::strstr(buf, m->host_name()), nullptr) << buf;
-      char tiny[8];
-      m->get_debug_string(tiny, sizeof tiny);
-      EXPECT_LT(std::strlen(tiny), sizeof tiny);
-    }
-  }
-  // Destruction deregisters.
-  EXPECT_EQ(hostalloc::active_host_managers().size(), baseline);
 }
 
 // ---- StreamPool: stream-ordered deferred reclamation ------------------------

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "core/registry.h"
 #include "core/stack_builder.h"
+#include "core/stub_allocators.h"
 
 namespace gms::core {
 namespace {
@@ -190,6 +193,26 @@ TEST_F(RegistryTest, MakeRejectsOversizedHeap) {
   gpu::Device dev(8u << 20, gpu::GpuConfig{.num_sms = 1});
   EXPECT_THROW((void)StackBuilder(dev).build("ScatterAlloc", 1u << 30),
                std::invalid_argument);
+}
+
+// Outside RegistryTest's registering fixture: the threadsafe death-test
+// child runs only this test, so it starts from an empty registry.
+TEST(RegistrationOrder, BasesRegisterAfterTheStubs) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        auto& reg = Registry::instance();
+        if (!reg.entries().empty()) std::_Exit(2);
+        register_stub_allocators();
+        register_all_allocators();
+        const bool stubs = reg.find("CrashStub") != nullptr &&
+                           reg.find("HangStub") != nullptr &&
+                           reg.find("CorruptStub") != nullptr;
+        std::fprintf(stderr, "entries=%zu names=%zu stubs=%d\n",
+                     reg.entries().size(), reg.names().size(), stubs);
+        std::_Exit(reg.names().size() == 20 && stubs ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -406,13 +406,5 @@ TEST(StackBuilderTest, UnknownBaseThrows) {
                std::invalid_argument);
 }
 
-TEST(StackBuilderTest, TraceStageHasNoStandaloneFactory) {
-  const auto* entry = core::Registry::instance().find("CUDA");
-  ASSERT_NE(entry, nullptr);
-  EXPECT_THROW((void)StackBuilder::stage_factory(StackSpec::Stage::kTrace,
-                                                 entry->factory),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace gms
