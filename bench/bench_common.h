@@ -14,10 +14,12 @@
 #include "core/utils.h"
 #include "core/validating_manager.h"
 #include "gpu/device.h"
+#include "gpu/watchdog.h"
 #include "trace/trace_export.h"
 #include "trace/trace_format.h"
 #include "trace/trace_recorder.h"
 #include "trace/tracing_manager.h"
+#include "workloads/alloc_perf.h"
 
 namespace gms::bench {
 
@@ -375,72 +377,48 @@ inline core::StackSpec validated_cell(const BenchArgs& args,
   return cell_stack(args, "validate>" + name);
 }
 
-/// Builds a fresh device + manager for one measurement (cold start parity
-/// across managers, as the paper's per-test processes provide). Builds the
-/// cell's stack (cell_stack, or a spec the bench folded itself), e.g.
-/// TracingManager( FaultInjector( ValidatingManager( inner ) ) ) — faults
-/// are injected above the validator so an injected nullptr never reaches
-/// redzone bookkeeping, and the tracer sits outermost so a recorded stream
-/// shows exactly the request/response sequence the kernel observed,
-/// injected faults included.
+/// One measurement's fresh cell (core::StackCell: device, stack, warm-up;
+/// cold start parity across managers, as the paper's per-test processes
+/// provide) over the cell's stack (cell_stack, or a spec the bench folded
+/// itself), e.g. TracingManager( FaultInjector( ValidatingManager( inner ) ) )
+/// — faults are injected above the validator so an injected nullptr never
+/// reaches redzone bookkeeping, and the tracer sits outermost so a recorded
+/// stream shows exactly the request/response sequence the kernel observed,
+/// injected faults included. On top it adds the bench outputs: a trace
+/// stage records from the end of the warm-up, and --trace, --chrome and
+/// --occupancy write that recording.
 class ManagedDevice {
  public:
   ManagedDevice(const BenchArgs& args, const std::string& name)
       : ManagedDevice(args, cell_stack(args, name)) {}
 
   ManagedDevice(const BenchArgs& args, const core::StackSpec& spec)
-      : device_(std::make_unique<gpu::Device>(
-            args.heap_bytes() + (8u << 20),
-            gpu::GpuConfig{
-                .num_sms = args.num_sms,
-                .lane_stack_bytes = 32 * 1024,
-                .watchdog_ms = args.watchdog_ms})) {
-    heap_bytes_ = args.heap_bytes();
-    auto stack = core::StackBuilder(*device_).build(spec, args.heap_bytes());
-    mgr_ = std::move(stack.manager);
-    recorder_ = std::move(stack.recorder);
-    validator_ = stack.validator;
-    injector_ = stack.injector;
-    resilient_ = stack.resilient;
-    name_ = stack.name;
+      : cell_(spec, args.heap_bytes(), args.num_sms, args.watchdog_ms) {
     if (!args.trace.empty()) {
       trace_path_ = args.trace;
       chrome_path_ = args.chrome;
       occupancy_path_ = args.occupancy;
       trace_auto_write_ = args.trace_auto_write;
     }
-    // Warm-up: materialise every SM's lane stacks outside the measurements
-    // (and outside the trace — recording starts after it).
-    device_->launch(args.num_sms * 2, 256, [](gpu::ThreadCtx&) {});
-    if (recorder_ != nullptr) recorder_->set_enabled(true);
+    if (stack().recorder != nullptr) stack().recorder->set_enabled(true);
   }
 
   ~ManagedDevice() {
-    if (recorder_ != nullptr) {
-      // Benches that don't write per-cell traces themselves still honour
-      // --trace: flush the pending recording, tagged with the allocator.
-      if (trace_auto_write_ && !trace_written_) {
-        try {
-          write_trace_outputs(name_);
-        } catch (...) {
-          // Losing the trace beats terminating the bench mid-teardown.
-        }
+    // Benches that don't write per-cell traces themselves still honour
+    // --trace: flush the pending recording, tagged with the stack's name.
+    if (trace_auto_write_ && !trace_written_) {
+      try {
+        write_trace_outputs(stack().name);
+      } catch (...) {
+        // Losing the trace beats terminating the bench mid-teardown.
       }
-      // recorder_ is destroyed before device_ (declaration order): make
-      // sure no stale observer pointer survives it.
-      device_->set_launch_observer(nullptr);
     }
   }
 
-  gpu::Device& dev() { return *device_; }
-  core::MemoryManager& mgr() { return *mgr_; }
-  [[nodiscard]] core::ValidatingManager* validator() { return validator_; }
-  [[nodiscard]] core::FaultInjector* injector() { return injector_; }
-  [[nodiscard]] alloc_core::ResilientManager* resilient() {
-    return resilient_;
-  }
-  [[nodiscard]] trace::TraceRecorder* recorder() { return recorder_.get(); }
-  [[nodiscard]] const std::string& name() const { return name_; }
+  gpu::Device& dev() { return cell_.dev(); }
+  core::MemoryManager& mgr() { return cell_.mgr(); }
+  /// The built stack: its layers, recorder and identity name.
+  [[nodiscard]] const core::BuiltStack& stack() const { return cell_.stack(); }
 
   /// Drains the recording (if --trace was given) and writes the .gmtrace
   /// file plus any requested exports, tagging each path with `tag` so
@@ -448,19 +426,20 @@ class ManagedDevice {
   void write_trace_outputs(const std::string& tag = "") {
     // A --stack spec with a trace stage but no --trace path records (the
     // stage is live for replay digests) but has nowhere to write.
-    if (recorder_ == nullptr || trace_path_.empty()) return;
-    recorder_->set_enabled(false);
-    const auto events = recorder_->drain();
+    trace::TraceRecorder* const recorder = stack().recorder.get();
+    if (recorder == nullptr || trace_path_.empty()) return;
+    recorder->set_enabled(false);
+    const auto events = recorder->drain();
     trace::TraceHeader header;
-    header.dropped = recorder_->dropped();
-    header.heap_bytes = heap_bytes_;
-    header.arena_bytes = device_->arena().size();
-    header.num_sms = device_->config().num_sms;
+    header.dropped = recorder->dropped();
+    header.heap_bytes = cell_.heap_bytes();
+    header.arena_bytes = dev().arena().size();
+    header.num_sms = dev().config().num_sms;
     header.warp_size = gpu::kWarpSize;
     header.kernel_launches =
-        static_cast<std::uint32_t>(device_->session_launches());
-    header.threads_launched = device_->session_threads_launched();
-    header.set_allocator(name_);
+        static_cast<std::uint32_t>(dev().session_launches());
+    header.threads_launched = dev().session_threads_launched();
+    header.set_allocator(stack().name);
     const std::string path = tagged_path(trace_path_, tag);
     trace::write_trace(path, header, events);
     std::cout << "(trace written to " << path << ": " << events.size()
@@ -473,44 +452,66 @@ class ManagedDevice {
       trace::write_occupancy_csv(tagged_path(occupancy_path_, tag), trace);
     }
     trace_written_ = true;
-    recorder_->set_enabled(true);
+    recorder->set_enabled(true);
   }
 
   /// End-of-case summary of the active decorators (no-op without a fault,
   /// validate or resilient layer).
   void print_report(std::ostream& os, bool leaks_are_errors = false) {
-    if (injector_ != nullptr) {
+    const core::BuiltStack& s = stack();
+    if (s.injector != nullptr) {
       os << "[fault"
          << core::format_config(core::FaultSpec::config_schema().serialize(
-                injector_->spec()))
-         << "] injected " << injector_->injected_failures() << " of "
-         << injector_->calls() << " mallocs\n";
+                s.injector->spec()))
+         << "] injected " << s.injector->injected_failures() << " of "
+         << s.injector->calls() << " mallocs\n";
     }
-    if (validator_ != nullptr) {
-      os << validator_->drain_report(leaks_are_errors).to_string() << "\n";
+    if (s.validator != nullptr) {
+      os << s.validator->drain_report(leaks_are_errors).to_string() << "\n";
     }
-    if (resilient_ != nullptr) {
+    if (s.resilient != nullptr) {
       os << "[resilient"
          << core::format_config(
                 core::ResilienceSpec::config_schema().serialize(
-                    resilient_->spec()))
-         << "] " << resilient_->report().to_string() << "\n";
+                    s.resilient->spec()))
+         << "] " << s.resilient->report().to_string() << "\n";
     }
   }
 
  private:
-  std::unique_ptr<gpu::Device> device_;
-  std::unique_ptr<trace::TraceRecorder> recorder_;  ///< set iff --trace
-  std::unique_ptr<core::MemoryManager> mgr_;
-  core::ValidatingManager* validator_ = nullptr;  ///< owned via mgr_ chain
-  core::FaultInjector* injector_ = nullptr;       ///< owned via mgr_
-  alloc_core::ResilientManager* resilient_ = nullptr;  ///< owned via mgr_
-  std::string name_;                              ///< effective registry name
-  std::size_t heap_bytes_ = 0;
+  core::StackCell cell_;
   std::string trace_path_, chrome_path_, occupancy_path_;  ///< --trace et al.
   bool trace_auto_write_ = true;
   bool trace_written_ = false;
 };
+
+/// bench_table1's stability churn: the cell under a validate stage
+/// (validated_cell) with the watchdog armed (falling back to --timeout-s),
+/// `default_threads` 4–256 B allocations (--threads overrides) for 4
+/// iterations (--iters overrides). Returns the measured verdict: "ok",
+/// "corrupt(N)" for N validation errors, "timeout" or "crash".
+inline std::string measure_stability(const BenchArgs& args,
+                                     const std::string& name,
+                                     std::size_t default_threads) {
+  BenchArgs sub = args;
+  if (sub.watchdog_ms <= 0) sub.watchdog_ms = sub.timeout_s * 1000.0;
+  try {
+    ManagedDevice md(sub, validated_cell(args, name));
+    work::AllocPerfParams p;
+    p.num_allocs = args.threads != 0 ? args.threads : default_threads;
+    p.size_min = 4;
+    p.size_max = 256;
+    p.iterations = args.iters != 0 ? args.iters : 4;
+    (void)work::run_alloc_perf(md.dev(), md.mgr(), p);
+    const auto report = md.stack().validator->drain_report(false);
+    return report.clean() ? "ok"
+                          : "corrupt(" + std::to_string(report.total()) + ")";
+  } catch (const gpu::LaunchTimeout&) {
+    return "timeout";
+  } catch (const std::exception&) {
+    return "crash";
+  }
+}
 
 /// The paper's size ladder: powers of two from lo to hi.
 inline std::vector<std::size_t> pow2_sizes(std::size_t lo, std::size_t hi) {

@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
           row.push_back(r.failed == 0 ? core::ResultTable::fmt_ms(r.update_ms)
                                       : "oom");
         }
-        if (md.validator() != nullptr || md.injector() != nullptr) {
+        if (md.stack().validator != nullptr ||
+            md.stack().injector != nullptr) {
           std::cout << (phase == 0 ? "init " : "update ") << gname << ": ";
           md.print_report(std::cout);
         }

@@ -32,7 +32,6 @@
 #include "core/json_writer.h"
 #include "core/stub_allocators.h"
 #include "core/survey_runner.h"
-#include "replay_cell.h"
 #include "trace/corpus.h"
 #include "trace/trace_replay.h"
 
@@ -52,27 +51,20 @@ struct TargetRun {
   std::uint64_t recaptured = 0;   ///< events the re-recording collected
 };
 
-/// One replay on a fresh device + manager, re-recorded through the same
-/// tracing stack benches use, so the canonical streams are comparable.
-TargetRun run_once(const trace::Trace& src, trace::TraceReplayer& replayer,
-                   const std::string& target, unsigned num_sms,
-                   std::size_t heap_bytes) {
-  gpu::Device dev(heap_bytes + (8u << 20),
-                  gpu::GpuConfig{.num_sms = num_sms,
-                                 .lane_stack_bytes = 32 * 1024});
-  auto stack =
-      core::StackBuilder(dev).build("trace>" + target, heap_bytes);
-  dev.launch(num_sms * 2, 256, [](gpu::ThreadCtx&) {});  // warm-up
-  stack.recorder->set_enabled(true);
-
+/// One replay on a fresh cell, re-recorded through a trace stage on top of
+/// the target, so the canonical streams are comparable.
+TargetRun recapture(trace::TraceReplayer& replayer, const std::string& target,
+                    unsigned num_sms, std::size_t heap_bytes) {
+  core::StackCell cell(core::StackSpec::parse("trace>" + target), heap_bytes,
+                       num_sms, /*watchdog_ms=*/0);
+  trace::TraceRecorder& recorder = *cell.stack().recorder;
+  recorder.set_enabled(true);
   TargetRun run;
-  run.result = replayer.replay(dev, *stack.manager);
-  stack.recorder->set_enabled(false);
-  dev.set_launch_observer(nullptr);
-  const auto events = stack.recorder->drain();
+  run.result = replayer.replay(cell.dev(), cell.mgr());
+  recorder.set_enabled(false);
+  const auto events = recorder.drain();
   run.recaptured = events.size();
   run.digest = trace::canonical_digest(events);
-  (void)src;
   return run;
 }
 
@@ -113,7 +105,9 @@ int run_corpus_sweep(const bench::BenchArgs& args) {
     try {
       src = trace::read_trace(args.corpus + "/" + e.file);
       const auto verdict = runner.probe_cell([&]() -> core::CellOutcome {
-        return bench::replay_verdict_cell(src, e.stack, args.num_sms);
+        return trace::replay_verdict_cell(
+                   src, core::StackSpec::parse(e.stack), args.num_sms)
+            .outcome;
       });
       measured = core::to_string(verdict);
       drift = verdict != e.expected;
@@ -201,8 +195,8 @@ int run_baseline_gate(const bench::BenchArgs& args) {
         src.header.heap_bytes != 0 ? src.header.heap_bytes : args.heap_bytes();
     bool deterministic = false, matches = false;
     try {
-      const auto a = run_once(src, replayer, name, args.num_sms, heap);
-      const auto b = run_once(src, replayer, name, args.num_sms, heap);
+      const auto a = recapture(replayer, name, args.num_sms, heap);
+      const auto b = recapture(replayer, name, args.num_sms, heap);
       deterministic = a.digest == b.digest;
       matches = a.digest == replayer.request_digest();
     } catch (const std::exception& e) {
@@ -323,8 +317,8 @@ int main(int argc, char** argv) {
   for (const auto& target : targets) {
     TargetRun a, b;
     try {
-      a = run_once(src, replayer, target, args.num_sms, heap_bytes);
-      b = run_once(src, replayer, target, args.num_sms, heap_bytes);
+      a = recapture(replayer, target, args.num_sms, heap_bytes);
+      b = recapture(replayer, target, args.num_sms, heap_bytes);
     } catch (const std::exception& e) {
       std::cout << target << ": replay failed — " << e.what() << "\n";
       table.add_row({target, "-", "-", "-", "-", "-", "-", "error", "-"});

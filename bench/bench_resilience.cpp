@@ -9,83 +9,33 @@
 // must report ZERO unrecovered allocation failures for every manager, churn
 // and fault rounds alike, and the binary exits non-zero otherwise — this is
 // the robustness contract CI enforces. Emits BENCH_resilience.json.
-#include <atomic>
-#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "alloc_core/resilient_manager.h"
-#include "allocators/ouroboros.h"
 #include "bench_common.h"
+#include "churn_cell.h"
 #include "core/json_writer.h"
 
 namespace {
 
 using namespace gms;
 
-struct CellResult {
-  double ms = 0;
-  std::uint64_t mallocs = 0;
-  std::uint64_t failed = 0;  ///< nullptrs the kernel saw (base runs)
-  core::ResilienceReport rep;  ///< zeroed for base runs
-  bool resilient = false;
-  /// Ouroboros page-queue leakage (leaked_pages_host) after the churn
-  /// drained; -1 for non-Ouroboros bases. The virtualized -VA/-VL variants
-  /// must report 0 (the PR-7 exhaustion fix) and CI gates on it.
-  std::int64_t leaked_pages = -1;
-};
+/// One convergent churn cell (churn_cell.h, bench_warpagg's kernel, so the
+/// base_failed numbers line up with BENCH_warpagg.json).
+bench::ChurnResult run_cell(const bench::BenchArgs& args,
+                            const std::string& spec, unsigned rounds) {
+  return bench::run_churn_cell(args, spec, bench::ChurnRegime::kConvergent,
+                               rounds);
+}
 
-/// One fresh device + stack, one churn launch — the bench_warpagg kernel
-/// shape (same size across the warp per round, malloc/store/free) so the
-/// base_failed numbers line up with BENCH_warpagg.json. Warp-level-only
-/// managers churn through warp_malloc + a per-round warp_free_all instead.
-CellResult run_cell(const bench::BenchArgs& args, const std::string& spec,
-                    unsigned rounds) {
-  gpu::Device dev(args.heap_bytes() + (8u << 20),
-                  gpu::GpuConfig{.num_sms = args.num_sms,
-                                 .lane_stack_bytes = 32 * 1024,
-                                 .watchdog_ms = args.watchdog_ms});
-  auto stack = core::StackBuilder(dev).build(spec, args.heap_bytes());
-  dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx&) {});  // warm-up
-
-  static constexpr std::size_t kSizes[4] = {32, 64, 128, 256};
-  std::atomic<std::uint64_t> failed{0};
-  core::MemoryManager& mgr = *stack.manager;
-  const bool warp_only = mgr.traits().warp_level_only;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  dev.launch(args.num_sms * 4, 256,
-             [&mgr, &failed, rounds, warp_only](gpu::ThreadCtx& ctx) {
-               for (unsigned r = 0; r < rounds; ++r) {
-                 const std::size_t size = kSizes[r % 4];
-                 void* p = warp_only ? mgr.warp_malloc(ctx, size)
-                                     : mgr.malloc(ctx, size);
-                 if (p == nullptr) {
-                   failed.fetch_add(1, std::memory_order_relaxed);
-                 } else {
-                   *static_cast<std::uint32_t*>(p) = ctx.thread_rank();
-                   if (!warp_only) mgr.free(ctx, p);
-                 }
-                 if (warp_only) mgr.warp_free_all(ctx);
-               }
-             });
-  const auto t1 = std::chrono::steady_clock::now();
-
-  CellResult res;
-  res.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  res.mallocs = static_cast<std::uint64_t>(args.num_sms) * 4 * 256 * rounds;
-  res.failed = failed.load();
-  if (stack.resilient != nullptr) {
-    res.rep = stack.resilient->report();
-    res.resilient = true;
-  }
-  // The Ouroboros page-leak audit reads the base under every layer.
-  if (auto* ouro = dynamic_cast<alloc::Ouroboros*>(stack.base)) {
-    res.leaked_pages = static_cast<std::int64_t>(ouro->leaked_pages_host());
-  }
-  return res;
+/// Ouroboros page-queue leakage after the churn drained; -1 for
+/// non-Ouroboros bases. The virtualized -VA/-VL variants must report 0
+/// (the PR-7 exhaustion fix) and the bench gates on it.
+std::int64_t leaked_pages(const bench::ChurnResult& r) {
+  return r.leaked_pages ? static_cast<std::int64_t>(*r.leaked_pages) : -1;
 }
 
 }  // namespace
@@ -120,7 +70,7 @@ int main(int argc, char** argv) {
 
   std::uint64_t total_unrecovered = 0;
   for (const auto& name : bases) {
-    CellResult base, res, res_fault;
+    bench::ChurnResult base, res, res_fault;
     try {
       base = run_cell(args, name, rounds);
       res = run_cell(args, "resilient>" + name, rounds);
@@ -159,16 +109,16 @@ int main(int argc, char** argv) {
         .report(res.rep)
         .report(res_fault.rep, "fault_")
         .num("fault_kernel_visible_failures", res_fault.failed)
-        .num("base_leaked_pages", base.leaked_pages)
-        .num("resilient_leaked_pages", res.leaked_pages)
-        .num("fault_leaked_pages", res_fault.leaked_pages);
+        .num("base_leaked_pages", leaked_pages(base))
+        .num("resilient_leaked_pages", leaked_pages(res))
+        .num("fault_leaked_pages", leaked_pages(res_fault));
     // The virtualized Ouroboros queues (-VA/-VL) re-virtualize exhausted
     // pages instead of leaking them; any leak there is a regression of the
     // exhaustion fix and fails the bench like an unrecovered alloc.
     if (name.find("-VA") != std::string::npos ||
         name.find("-VL") != std::string::npos) {
-      for (const auto leaked :
-           {base.leaked_pages, res.leaked_pages, res_fault.leaked_pages}) {
+      for (const auto leaked : {leaked_pages(base), leaked_pages(res),
+                                leaked_pages(res_fault)}) {
         if (leaked > 0) {
           std::cerr << name << ": " << leaked
                     << " leaked pages on a virtualized queue variant\n";

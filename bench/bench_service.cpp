@@ -255,7 +255,7 @@ int run(int argc, char** argv) {
   if (!args.trace.empty()) {
     trace::TraceHeader hdr;
     hdr.heap_bytes = args.heap_bytes();
-    hdr.arena_bytes = args.heap_bytes() + (8u << 20);
+    hdr.arena_bytes = args.heap_bytes() + core::kArenaSlackBytes;
     hdr.num_sms = args.num_sms;
     hdr.warp_size = gpu::kWarpSize;
     hdr.set_allocator("service:" + (args.allocators.empty()

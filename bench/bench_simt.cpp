@@ -21,8 +21,6 @@
 
 #include "bench_common.h"
 #include "core/json_writer.h"
-#include "gpu/watchdog.h"
-#include "workloads/alloc_perf.h"
 
 namespace {
 
@@ -112,22 +110,10 @@ double bench_barrier(const bench::BenchArgs& args) {
 
 double bench_alloc_sweep(const bench::BenchArgs& args) {
   return time_ms([&] {
+    // Timeouts/crashes count against the sweep's wall clock like any other
+    // outcome; the stability verdict itself is bench_table1's job.
     for (const auto& name : args.allocators) {
-      bench::BenchArgs sub = args;
-      if (sub.watchdog_ms <= 0) sub.watchdog_ms = sub.timeout_s * 1000.0;
-      try {
-        bench::ManagedDevice md(sub, bench::validated_cell(args, name));
-        work::AllocPerfParams p;
-        p.num_allocs = args.threads != 0 ? args.threads : 10'000;
-        p.size_min = 4;
-        p.size_max = 256;
-        p.iterations = args.iters != 0 ? args.iters : 4;
-        (void)work::run_alloc_perf(md.dev(), md.mgr(), p);
-        (void)md.validator()->drain_report(false);
-      } catch (const std::exception&) {
-        // Timeouts/crashes count against the sweep's wall clock like any
-        // other outcome; the stability verdict itself is bench_table1's job.
-      }
+      (void)bench::measure_stability(args, name, 10'000);
     }
   });
 }

@@ -18,9 +18,9 @@
 #include "core/json_writer.h"
 #include "core/stub_allocators.h"
 #include "core/survey_runner.h"
-#include "replay_cell.h"
 #include "trace/corpus.h"
 #include "trace/trace_minimizer.h"
+#include "trace/trace_replay.h"
 #include "workloads/fragmentation.h"
 
 namespace {
@@ -88,8 +88,9 @@ bench::ManagedDevice make_cell_device(const bench::BenchArgs& args,
 /// Returns empty when the validation report is clean (or no validator is
 /// active), else the report text.
 std::string drain_validation(bench::ManagedDevice& md) {
-  if (md.validator() == nullptr) return {};
-  const auto report = md.validator()->drain_report(/*leaks_are_errors=*/false);
+  if (md.stack().validator == nullptr) return {};
+  const auto report =
+      md.stack().validator->drain_report(/*leaks_are_errors=*/false);
   if (report.clean()) return {};
   return report.to_string();
 }
@@ -105,7 +106,7 @@ template <typename Body>
 core::CellOutcome with_failure_trace(bench::ManagedDevice& md,
                                      const std::string& key, Body body) {
   const auto capture = [&] {
-    if (md.recorder() == nullptr) return;
+    if (md.stack().recorder == nullptr) return;
     try {
       md.write_trace_outputs(key);
     } catch (...) {
@@ -307,7 +308,9 @@ int run_soak(const bench::BenchArgs& args,
         const std::string stack = spec.to_string();
         const auto oracle = [&](const trace::Trace& t) {
           return runner.probe_cell([&]() -> core::CellOutcome {
-            return bench::replay_verdict_cell(t, stack, args.num_sms);
+            return trace::replay_verdict_cell(
+                       t, core::StackSpec::parse(stack), args.num_sms)
+                .outcome;
           });
         };
         // Pin the verdict the REPLAY reproduces, which is what CI can

@@ -9,8 +9,6 @@
 // why both columns are shown.
 #include "bench_common.h"
 #include "core/json_writer.h"
-#include "gpu/watchdog.h"
-#include "workloads/alloc_perf.h"
 
 namespace {
 
@@ -30,32 +28,13 @@ const gms::core::RegistryEntry& base_entry(const gms::bench::BenchArgs& args,
       gms::bench::cell_stack(args, name).base);
 }
 
-int measure_stability(const gms::bench::BenchArgs& args) {
+int stability_table(const gms::bench::BenchArgs& args) {
   using namespace gms;
   core::ResultTable table(
       {"Short Name", "Paper Stable", "Measured", "Agrees"});
   for (const auto& name : args.allocators) {
     const auto& entry = base_entry(args, name);
-    bench::BenchArgs sub = args;
-    if (sub.watchdog_ms <= 0) sub.watchdog_ms = sub.timeout_s * 1000.0;
-    std::string measured;
-    try {
-      bench::ManagedDevice md(sub, bench::validated_cell(args, name));
-      work::AllocPerfParams p;
-      p.num_allocs = args.threads != 0 ? args.threads : 4096;
-      p.size_min = 4;
-      p.size_max = 256;
-      p.iterations = args.iters != 0 ? args.iters : 4;
-      (void)work::run_alloc_perf(md.dev(), md.mgr(), p);
-      const auto report = md.validator()->drain_report(false);
-      measured = report.clean()
-                     ? "ok"
-                     : "corrupt(" + std::to_string(report.total()) + ")";
-    } catch (const gpu::LaunchTimeout&) {
-      measured = "timeout";
-    } catch (const std::exception&) {
-      measured = "crash";
-    }
+    const std::string measured = bench::measure_stability(args, name, 4096);
     const bool paper_stable = entry.traits.stable;
     const bool measured_ok = measured == "ok";
     table.add_row({name, paper_stable ? "yes" : "no", measured,
@@ -71,7 +50,7 @@ int measure_stability(const gms::bench::BenchArgs& args) {
 int main(int argc, char** argv) {
   using namespace gms;
   const auto args = bench::parse_args(argc, argv);
-  if (args.measure_stability) return measure_stability(args);
+  if (args.measure_stability) return stability_table(args);
 
   core::ResultTable table({"Short Name", "Year", "Family", "Placement", "Ref.",
                            "General Purpose", "Individual Free",

@@ -17,106 +17,20 @@
 // --min-speedup X (implied 0.95 by --smoke) turns the convergent-regime
 // adaptive speedup into a CI gate: any manager below X fails the run.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "alloc_core/warp_aggregator.h"
-#include "allocators/ouroboros.h"
 #include "bench_common.h"
+#include "churn_cell.h"
 #include "core/json_writer.h"
 
 namespace {
 
 using namespace gms;
-
-constexpr std::size_t kSizes[4] = {32, 64, 128, 256};
-
-enum class Workload : unsigned { kConvergent, kDivergent, kMixed };
-constexpr const char* kWorkloadNames[] = {"convergent", "divergent", "mixed"};
-
-/// True when this lane allocates in round `r` (divergent regime drops a
-/// rotating third of the warp to create partial masks).
-bool participates(Workload w, unsigned lane, unsigned r) {
-  return w != Workload::kDivergent || (lane + r) % 3 != 0;
-}
-
-std::size_t round_size(Workload w, unsigned lane, unsigned r) {
-  return w == Workload::kMixed ? kSizes[(lane + r) % 4] : kSizes[r % 4];
-}
-
-struct CellResult {
-  double ms = 0;
-  std::uint64_t mallocs = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t atomics = 0;
-  std::uint64_t cas_failed = 0;
-  std::uint64_t backoffs = 0;
-  std::uint64_t collectives = 0;  ///< warp collectives resolved (stall-immune)
-  /// Pages permanently lost to failed bounded-ring enqueues, read from
-  /// Ouroboros managers after the launch (~0 for everything else): the
-  /// direct evidence tying a -S variant's residual `failed` count to the
-  /// ring-leak mechanism rather than to transient contention.
-  std::uint64_t leaked_pages = 0;
-  core::AggregationReport agg;  ///< zero for base (non-"+W") cells
-};
-
-/// One fresh device + stack, one churn launch over the given regime.
-CellResult run_cell_once(const bench::BenchArgs& args, const std::string& spec,
-                         Workload wl, unsigned rounds) {
-  gpu::Device dev(args.heap_bytes() + (8u << 20),
-                  gpu::GpuConfig{.num_sms = args.num_sms,
-                                 .lane_stack_bytes = 32 * 1024,
-                                 .watchdog_ms = args.watchdog_ms});
-  auto stack = core::StackBuilder(dev).build(spec, args.heap_bytes());
-  dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx&) {});  // warm-up
-
-  std::atomic<std::uint64_t> failed{0};
-  core::MemoryManager& mgr = *stack.manager;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto stats = dev.launch(
-      args.num_sms * 4, 256, [&mgr, &failed, rounds, wl](gpu::ThreadCtx& ctx) {
-        const unsigned lane = ctx.lane_id();
-        for (unsigned r = 0; r < rounds; ++r) {
-          if (!participates(wl, lane, r)) continue;
-          void* p = mgr.malloc(ctx, round_size(wl, lane, r));
-          if (p == nullptr) {
-            failed.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          *static_cast<std::uint32_t*>(p) = ctx.thread_rank();
-          mgr.free(ctx, p);
-        }
-      });
-  const auto t1 = std::chrono::steady_clock::now();
-
-  CellResult res;
-  res.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  // Exact request count (the divergent regime skips deterministically).
-  std::uint64_t per_warp = 0;
-  for (unsigned lane = 0; lane < gpu::kWarpSize; ++lane) {
-    for (unsigned r = 0; r < rounds; ++r) {
-      if (participates(wl, lane, r)) ++per_warp;
-    }
-  }
-  const std::uint64_t warps =
-      static_cast<std::uint64_t>(args.num_sms) * 4 * 256 / gpu::kWarpSize;
-  res.mallocs = warps * per_warp;
-  res.failed = failed.load();
-  if (auto* ouro = dynamic_cast<alloc::Ouroboros*>(stack.base)) {
-    res.leaked_pages = ouro->leaked_pages_host();
-  }
-  res.atomics = stats.counters.atomic_total();
-  res.cas_failed = stats.counters.atomic_cas_failed;
-  res.backoffs = stats.counters.backoffs;
-  res.collectives = stats.counters.collectives;
-  if (stack.aggregator != nullptr) res.agg = stack.aggregator->report();
-  return res;
-}
+using bench::ChurnRegime;
+using bench::ChurnResult;
 
 /// Best-of-N wall clock with PAIRED reps (fresh device per attempt,
 /// cold-start parity kept): each rep times the base and immediately after
@@ -135,13 +49,13 @@ CellResult run_cell_once(const bench::BenchArgs& args, const std::string& spec,
 /// (adaptive sites that never switch) read within a few percent of 1.0x
 /// under this estimator where min-of-reps produced 0.3x–1.5x outliers.
 double run_pair(const bench::BenchArgs& args, const std::string& name,
-                Workload wl, unsigned rounds, unsigned reps, CellResult& base,
-                CellResult& agg) {
+                ChurnRegime wl, unsigned rounds, unsigned reps,
+                ChurnResult& base, ChurnResult& agg) {
   std::vector<double> ratios;
   ratios.reserve(reps);
   for (unsigned i = 0; i < reps; ++i) {
-    CellResult b = run_cell_once(args, name, wl, rounds);
-    CellResult a = run_cell_once(args, "warpagg>" + name, wl, rounds);
+    ChurnResult b = bench::run_churn_cell(args, name, wl, rounds);
+    ChurnResult a = bench::run_churn_cell(args, "warpagg>" + name, wl, rounds);
     ratios.push_back(b.ms / a.ms);
     if (i == 0 || b.ms < base.ms) base = b;
     if (i == 0 || a.ms < agg.ms) agg = a;
@@ -202,19 +116,19 @@ int main(int argc, char** argv) {
   bool gate_failed = false;
   for (const auto& name : bases) {
     for (unsigned w = 0; w < 3; ++w) {
-      const auto wl = static_cast<Workload>(w);
-      CellResult base, agg;
+      const auto wl = static_cast<ChurnRegime>(w);
+      ChurnResult base, agg;
       double speedup = 0;
       try {
         speedup = run_pair(args, name, wl, rounds, reps, base, agg);
       } catch (const std::exception& e) {
-        std::cerr << name << "/" << kWorkloadNames[w] << ": " << e.what()
+        std::cerr << name << "/" << bench::kChurnRegimeNames[w] << ": " << e.what()
                   << "\n";
-        table.add_row({name, kWorkloadNames[w], "err", "err", "-", "-", "-",
+        table.add_row({name, bench::kChurnRegimeNames[w], "err", "err", "-", "-", "-",
                        "-", "-", "-"});
         json.add_case()
             .str("name", name)
-            .str("workload", kWorkloadNames[w])
+            .str("workload", bench::kChurnRegimeNames[w])
             .str("error", e.what());
         gate_failed = gate > 0;  // an erroring manager must not pass CI
         continue;
@@ -226,15 +140,18 @@ int main(int argc, char** argv) {
                     static_cast<double>(agg.agg.groups_combined)
               : 0.0;
       const double contention =
-          static_cast<double>(base.cas_failed + 4 * base.backoffs) / calls;
-      if (gate > 0 && wl == Workload::kConvergent) {
+          static_cast<double>(base.counters.atomic_cas_failed +
+                              4 * base.counters.backoffs) /
+          calls;
+      if (gate > 0 && wl == ChurnRegime::kConvergent) {
         // "Stayed passthrough" means no group was ever served aggregated.
         if (agg.agg.groups_combined == 0) {
           // Small slack: the warm-up launch and slab teardown may resolve
           // a handful of collectives outside the churn itself.
-          if (agg.collectives > base.collectives + 64) {
+          if (agg.counters.collectives > base.counters.collectives + 64) {
             std::cerr << "GATE: " << name << " convergent passthrough added "
-                      << (agg.collectives - base.collectives)
+                      << (agg.counters.collectives -
+                          base.counters.collectives)
                       << " collectives (adaptive layer must add none)\n";
             gate_failed = true;
           }
@@ -245,18 +162,19 @@ int main(int argc, char** argv) {
         }
       }
       table.add_row(
-          {name, kWorkloadNames[w], core::ResultTable::fmt_ms(base.ms),
+          {name, bench::kChurnRegimeNames[w], core::ResultTable::fmt_ms(base.ms),
            core::ResultTable::fmt_ms(agg.ms),
            core::ResultTable::fmt(speedup, 2) + "x",
            core::ResultTable::fmt(contention, 2),
-           core::ResultTable::fmt(static_cast<double>(agg.atomics) / calls, 1),
+           core::ResultTable::fmt(
+               static_cast<double>(agg.counters.atomic_total()) / calls, 1),
            std::to_string(agg.agg.groups_combined),
            std::to_string(agg.agg.passthrough_calls),
            std::to_string(agg.agg.switches_to_agg) + "/" +
                std::to_string(agg.agg.switches_to_pass)});
       json.add_case()
           .str("name", name)
-          .str("workload", kWorkloadNames[w])
+          .str("workload", bench::kChurnRegimeNames[w])
           .num("rounds", rounds)
           .num("mallocs", base.mallocs)
           .num("base_ms", base.ms)
@@ -264,16 +182,16 @@ int main(int argc, char** argv) {
           .num("speedup", speedup)
           .num("base_failed", base.failed)
           .num("warpagg_failed", agg.failed)
-          .num("base_leaked_pages", base.leaked_pages)
-          .num("warpagg_leaked_pages", agg.leaked_pages)
-          .num("base_atomics", base.atomics)
-          .num("warpagg_atomics", agg.atomics)
-          .num("base_collectives", base.collectives)
-          .num("warpagg_collectives", agg.collectives)
+          .num("base_leaked_pages", base.leaked_pages.value_or(0))
+          .num("warpagg_leaked_pages", agg.leaked_pages.value_or(0))
+          .num("base_atomics", base.counters.atomic_total())
+          .num("warpagg_atomics", agg.counters.atomic_total())
+          .num("base_collectives", base.counters.collectives)
+          .num("warpagg_collectives", agg.counters.collectives)
           .num("base_atomics_per_malloc",
-               static_cast<double>(base.atomics) / calls)
+               static_cast<double>(base.counters.atomic_total()) / calls)
           .num("warpagg_atomics_per_malloc",
-               static_cast<double>(agg.atomics) / calls)
+               static_cast<double>(agg.counters.atomic_total()) / calls)
           .num("base_contention_per_malloc", contention)
           .num("lanes_per_group", lanes_per_group)
           .report(agg.agg);

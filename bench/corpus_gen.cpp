@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "replay_cell.h"
 #include "trace/corpus.h"
 #include "trace/trace_format.h"
+#include "trace/trace_replay.h"
 
 namespace {
 
@@ -31,7 +31,7 @@ class TraceBuilder {
  public:
   TraceBuilder(std::size_t heap_bytes, unsigned num_sms) {
     header_.heap_bytes = heap_bytes;
-    header_.arena_bytes = heap_bytes + (8u << 20);
+    header_.arena_bytes = heap_bytes + core::kArenaSlackBytes;
     header_.num_sms = num_sms;
     header_.warp_size = 32;
     header_.set_allocator("corpus_gen");
@@ -374,7 +374,9 @@ int main(int argc, char** argv) {
     // Pin the verdict by measurement, not by guess: probe the entry exactly
     // the way the CI sweep will replay it.
     const auto verdict = runner.probe_cell([&]() -> core::CellOutcome {
-      return bench::replay_verdict_cell(seed.trace, seed.stack, args.num_sms);
+      return trace::replay_verdict_cell(
+                 seed.trace, core::StackSpec::parse(seed.stack), args.num_sms)
+          .outcome;
     });
     trace::CorpusEntry entry;
     entry.file = seed.file;

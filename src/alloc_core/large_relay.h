@@ -1,8 +1,6 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 
 #include "allocators/cuda_standin.h"
@@ -13,14 +11,8 @@ namespace gms::alloc_core {
 /// The shared large-request escape hatch (paper §2/§4: Halloc, Ouroboros and
 /// FDGMalloc all forward requests above their direct-service limit to the
 /// CUDA allocator). Owns the CudaStandin slice each of those managers
-/// previously embedded by hand, answers `owns(ptr)` so free-side routing
-/// stops duplicating base/end range checks, and counts relay traffic so the
-/// survey can report how much of a workload actually bypassed the manager
-/// under test.
-///
-/// The counters use plain std::atomic, not the instrumented ctx.atomic_*
-/// wrappers: relay bookkeeping must not inflate the inner allocator's
-/// measured atomics (same rule as the validate stage's own metadata).
+/// previously embedded by hand and answers `owns(ptr)` so free-side routing
+/// stops duplicating base/end range checks.
 class LargeRequestRelay {
  public:
   LargeRequestRelay() = default;  ///< disengaged: malloc fails, owns() false
@@ -34,7 +26,6 @@ class LargeRequestRelay {
     standin_ = std::make_unique<alloc::CudaStandin>(base, bytes);
   }
 
-  [[nodiscard]] bool engaged() const { return standin_ != nullptr; }
   [[nodiscard]] std::size_t bytes() const { return bytes_; }
 
   /// True iff `p` points into the relay's slice — the free-routing question
@@ -46,39 +37,18 @@ class LargeRequestRelay {
 
   void* malloc(gpu::ThreadCtx& ctx, std::size_t size) {
     if (standin_ == nullptr) return nullptr;
-    void* p = standin_->malloc(ctx, size);
-    if (p != nullptr) {
-      relayed_mallocs_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      relayed_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return p;
+    return standin_->malloc(ctx, size);
   }
 
   void free(gpu::ThreadCtx& ctx, void* p) {
     if (standin_ == nullptr || p == nullptr) return;
-    relayed_frees_.fetch_add(1, std::memory_order_relaxed);
     standin_->free(ctx, p);
-  }
-
-  // ---- relay-pressure counters ------------------------------------------
-  [[nodiscard]] std::uint64_t relayed_mallocs() const {
-    return relayed_mallocs_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t relayed_frees() const {
-    return relayed_frees_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t relayed_failures() const {
-    return relayed_failures_.load(std::memory_order_relaxed);
   }
 
  private:
   std::unique_ptr<alloc::CudaStandin> standin_;
   std::byte* base_ = nullptr;
   std::size_t bytes_ = 0;
-  std::atomic<std::uint64_t> relayed_mallocs_{0};
-  std::atomic<std::uint64_t> relayed_frees_{0};
-  std::atomic<std::uint64_t> relayed_failures_{0};
 };
 
 }  // namespace gms::alloc_core

@@ -121,10 +121,6 @@ Halloc::Halloc(gpu::Device& dev, std::size_t heap_bytes, Config cfg)
 
 const core::AllocatorTraits& Halloc::traits() const { return traits_; }
 
-std::uint32_t Halloc::slab_class(gpu::ThreadCtx& ctx, std::uint32_t slab) {
-  return state_cls(ctx.atomic_load(&slab_state_[slab]));
-}
-
 std::uint32_t Halloc::claim_block(gpu::ThreadCtx& ctx, std::uint32_t slab,
                                   std::uint32_t cls) {
   const std::uint32_t cap = capacity(cls);

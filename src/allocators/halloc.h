@@ -56,14 +56,6 @@ class Halloc final : public core::MemoryManager {
   /// callers needing the paper geometry without an instance.
   static const alloc_core::SizeClassMap& block_classes();
 
-  /// White-box for tests.
-  [[nodiscard]] std::uint32_t slab_count() const { return num_slabs_; }
-  [[nodiscard]] std::uint32_t slab_class(gpu::ThreadCtx& ctx,
-                                         std::uint32_t slab);
-  [[nodiscard]] const alloc_core::LargeRequestRelay& relay() const {
-    return relay_;
-  }
-
  private:
   // Slab state word: {class+1 : high 32 (0 = unassigned), used count : low}.
   static std::uint64_t make_state(std::uint32_t cls_plus1,

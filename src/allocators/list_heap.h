@@ -194,19 +194,6 @@ class ListHeap {
     return false;  // more blocks than units: a cycle through stale flags
   }
 
-  /// Number of blocks on the list (test/diagnostic, quiescent only).
-  [[nodiscard]] std::size_t block_count(gpu::ThreadCtx& ctx) {
-    std::size_t n = 0;
-    for (std::uint32_t off = 0; off < units_;) {
-      if (!is_start(ctx, off)) break;
-      ++n;
-      const std::uint32_t next = ctx.atomic_load(link(off));
-      if (next <= off) break;
-      off = next;
-    }
-    return n;
-  }
-
  private:
   static constexpr std::uint64_t start_bit(std::uint32_t unit) {
     return 1ull << ((unit % 32) * 2);

@@ -85,13 +85,6 @@ class BoundedTicketQueue {
     }
   }
 
-  /// Approximate occupancy (exact when quiescent).
-  [[nodiscard]] std::uint64_t size_approx(gpu::ThreadCtx& ctx) const {
-    const auto h = ctx.atomic_load(head_);
-    const auto t = ctx.atomic_load(tail_);
-    return t > h ? t - h : 0;
-  }
-
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:

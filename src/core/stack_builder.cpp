@@ -148,4 +148,20 @@ BuiltStack StackBuilder::build(const StackSpec& spec,
   return out;
 }
 
+StackCell::StackCell(const StackSpec& spec, std::size_t heap_bytes,
+                     unsigned num_sms, double watchdog_ms)
+    : dev_(heap_bytes + kArenaSlackBytes,
+           gpu::GpuConfig{.num_sms = num_sms,
+                          .lane_stack_bytes = 32 * 1024,
+                          .watchdog_ms = watchdog_ms}),
+      stack_(StackBuilder(dev_).build(spec, heap_bytes)),
+      heap_bytes_(heap_bytes) {
+  dev_.launch(num_sms * 2, 256, [](gpu::ThreadCtx&) {});  // warm-up
+}
+
+StackCell::~StackCell() {
+  // The recorder (if any) dies with stack_: no launch may reach it after.
+  dev_.set_launch_observer(nullptr);
+}
+
 }  // namespace gms::core

@@ -28,9 +28,9 @@ class ValidatingManager;
 
 /// Result of StackBuilder::build(): the composed manager plus borrowed
 /// pointers into each decorator layer (all owned via `manager`), and the
-/// recorder backing a trace stage. The caller keeps the recorder alive as
-/// long as the manager and clears the device's launch observer before
-/// destroying it (build() registers the recorder as observer).
+/// recorder backing a trace stage, which build() registers as the device's
+/// launch observer. StackCell owns one together with its device and tears
+/// both down in the right order.
 struct BuiltStack {
   std::unique_ptr<MemoryManager> manager;
   ValidatingManager* validator = nullptr;
@@ -52,11 +52,10 @@ struct BuiltStack {
   std::string name;
 };
 
-/// The one way a name becomes a manager. ManagedDevice in bench_common.h,
-/// the survey runner (via ManagedDevice), bench_replay, the service shards,
-/// the examples and the tests all compose their stacks here; nothing
-/// outside this class and the decorator tests constructs Validating/Fault/
-/// Tracing decorators directly.
+/// The one way a name becomes a manager. StackCell builds every bench,
+/// replay, tuner and service stack through it; the examples and the tests
+/// call it on devices of their own. Nothing outside this class and the
+/// decorator tests constructs Validating/Fault/Tracing decorators directly.
 class StackBuilder {
  public:
   explicit StackBuilder(gpu::Device& dev) : dev_(&dev) {}
@@ -71,6 +70,39 @@ class StackBuilder {
 
  private:
   gpu::Device* dev_;
+};
+
+/// Arena bytes a cell's device holds beyond the heap. Trace headers record
+/// heap + this as the capture's arena size.
+inline constexpr std::size_t kArenaSlackBytes = std::size_t{8} << 20;
+
+/// A fresh device and one stack on it: the one cold start that every bench
+/// cell, replay, tuner candidate and service shard shares. Builds, in
+/// order, a device whose arena is the heap plus kArenaSlackBytes (32 KiB
+/// lane stacks, the given SM count and watchdog), the stack through
+/// StackBuilder, and one empty warm-up launch of num_sms * 2 blocks of 256
+/// lanes that materialises every SM's lane stacks outside any measurement.
+/// A trace stage's recorder stays disabled, so the warm-up is never
+/// recorded; callers enable it. Destruction clears the launch observer,
+/// then drops the stack, then the device.
+class StackCell {
+ public:
+  StackCell(const StackSpec& spec, std::size_t heap_bytes, unsigned num_sms,
+            double watchdog_ms);
+  ~StackCell();
+
+  StackCell(const StackCell&) = delete;
+  StackCell& operator=(const StackCell&) = delete;
+
+  [[nodiscard]] gpu::Device& dev() { return dev_; }
+  [[nodiscard]] const BuiltStack& stack() const { return stack_; }
+  [[nodiscard]] MemoryManager& mgr() { return *stack_.manager; }
+  [[nodiscard]] std::size_t heap_bytes() const { return heap_bytes_; }
+
+ private:
+  gpu::Device dev_;
+  BuiltStack stack_;
+  std::size_t heap_bytes_;
 };
 
 }  // namespace gms::core

@@ -127,7 +127,6 @@ class SurveyRunner {
   [[nodiscard]] const std::vector<CellResult>& results() const {
     return results_;
   }
-  [[nodiscard]] const Options& options() const { return opts_; }
 
   [[nodiscard]] bool is_quarantined(const std::string& key) const {
     return quarantine_.contains(key);

@@ -15,8 +15,6 @@ constexpr std::uint64_t round_up(std::uint64_t v, std::uint64_t align) {
   return (v + align - 1) / align * align;
 }
 
-constexpr bool is_pow2(std::uint64_t v) { return std::has_single_bit(v); }
-
 /// SplitMix64: the deterministic per-thread RNG used by every workload so
 /// runs are reproducible across allocators (each sees the identical request
 /// stream, a precondition for the paper's side-by-side comparisons).

@@ -251,26 +251,6 @@ class ThreadCtx {
     ++stats_->atomic_rmw;
     return std::atomic_ref<T>(*addr).exchange(v, std::memory_order_acq_rel);
   }
-  template <typename T>
-  T atomic_min(T* addr, T v) {
-    ++stats_->atomic_rmw;
-    std::atomic_ref<T> ref(*addr);
-    T cur = ref.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !ref.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-    }
-    return cur;
-  }
-  template <typename T>
-  T atomic_max(T* addr, T v) {
-    ++stats_->atomic_rmw;
-    std::atomic_ref<T> ref(*addr);
-    T cur = ref.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !ref.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-    }
-    return cur;
-  }
   /// CUDA-style CAS: returns the value observed before the exchange attempt.
   template <typename T>
   T atomic_cas(T* addr, T expected, T desired) {

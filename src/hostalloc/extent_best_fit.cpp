@@ -83,8 +83,6 @@ void* ExtentBestFit::malloc(gpu::ThreadCtx& ctx, std::size_t size) {
     // slot live (release store orders the pair for device readers).
     ctx.atomic_store(&slots_[slot].bytes, rounded);
     ctx.atomic_store(&slots_[slot].offset, off);
-  } else {
-    ++handoff_overflows_;
   }
   live_.emplace(off, LiveExtent{rounded, slot});
   ++carves_;
@@ -112,7 +110,6 @@ void ExtentBestFit::free(gpu::ThreadCtx& ctx, void* ptr) {
   }
   const unsigned merges = extents_.insert(off, ext.bytes);
   if (merges > 0) {
-    ++coalesces_;
     trace::mark(sink_, ctx, trace::EventKind::kHostCoalesce, ext.bytes, merges);
   }
 }

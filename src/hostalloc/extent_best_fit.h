@@ -73,12 +73,7 @@ class ExtentBestFit final : public HostManagerBase {
     return extents_.largest_free();
   }
   [[nodiscard]] std::size_t live_count() const { return live_.size(); }
-  [[nodiscard]] std::size_t handoff_capacity() const { return slot_count_; }
-  [[nodiscard]] std::uint64_t handoff_overflows() const {
-    return handoff_overflows_;
-  }
   [[nodiscard]] std::uint64_t carve_count() const { return carves_; }
-  [[nodiscard]] std::uint64_t coalesce_count() const { return coalesces_; }
 
  private:
   struct LiveExtent {
@@ -97,8 +92,6 @@ class ExtentBestFit final : public HostManagerBase {
   std::map<std::uint64_t, LiveExtent> live_;  ///< arena offset -> extent
   std::vector<std::uint32_t> free_slots_;     ///< vacant handoff indices
   std::uint64_t carves_ = 0;
-  std::uint64_t coalesces_ = 0;
-  std::uint64_t handoff_overflows_ = 0;
   std::uint64_t invalid_frees_ = 0;
 };
 

@@ -11,8 +11,8 @@
 #include <mutex>
 #include <vector>
 
+#include "gpu/device.h"
 #include "gpu/watchdog.h"
-#include "trace/trace_recorder.h"
 
 namespace gms::service {
 
@@ -185,21 +185,16 @@ core::Verdict classify_exception(const std::exception& e) {
   return core::Verdict::kValidationError;
 }
 
-/// Child-side server loop: build the device + stack, then answer batches
-/// until shutdown or death. Never returns.
-[[noreturn]] void child_main(int req_fd, int rsp_fd,
-                             const DeviceShard::Options& opts) {
-  std::unique_ptr<gpu::Device> dev;
-  core::BuiltStack stack;
-  std::unordered_map<std::uint64_t, DeviceShard::SlotVal> slots;
+/// Child-side server loop: the in-process shard behind a pipe. Builds a
+/// DeviceShard from the parent's Options (in-process), then answers each
+/// batch with that shard's execute() until shutdown or death. Never
+/// returns.
+[[noreturn]] void child_main(int req_fd, int rsp_fd, unsigned id,
+                             DeviceShard::Options opts) {
+  opts.forked = false;
+  std::unique_ptr<DeviceShard> shard;
   try {
-    dev = std::make_unique<gpu::Device>(
-        opts.heap_bytes + (8u << 20),
-        gpu::GpuConfig{.num_sms = opts.num_sms,
-                       .lane_stack_bytes = 32 * 1024,
-                       .watchdog_ms = opts.watchdog_ms});
-    stack = core::StackBuilder(*dev).build(opts.stack, opts.heap_bytes);
-    dev->launch(opts.num_sms * 2, 256, [](gpu::ThreadCtx&) {});  // warm-up
+    shard = std::make_unique<DeviceShard>(id, std::move(opts));
   } catch (...) {
     ::_exit(core::SurveyRunner::kExitValidation);
   }
@@ -223,21 +218,10 @@ core::Verdict classify_exception(const std::exception& e) {
       batch.ops[i].slot = wire_ops[i].slot;
       batch.ops[i].size = wire_ops[i].size;
     }
-    WireResult res;
-    try {
-      const auto counts = run_batch(*dev, *stack.manager, slots, batch);
-      res.verdict = static_cast<std::uint32_t>(core::Verdict::kOk);
-      res.ops_ok = counts.ops_ok;
-      res.ops_failed = counts.ops_failed;
-      res.orphaned = counts.orphaned;
-      res.bytes_allocated = counts.bytes_allocated;
-      res.bytes_freed = counts.bytes_freed;
-    } catch (const std::exception& e) {
-      res.verdict = static_cast<std::uint32_t>(classify_exception(e));
-    } catch (...) {
-      res.verdict =
-          static_cast<std::uint32_t>(core::Verdict::kValidationError);
-    }
+    const BatchResult r = shard->execute(batch);
+    const WireResult res{static_cast<std::uint32_t>(r.verdict), r.ops_ok,
+                         r.ops_failed, r.orphaned_frees, r.bytes_allocated,
+                         r.bytes_freed};
     if (!full_write(rsp_fd, &res, sizeof res)) ::_exit(0);
   }
 }
@@ -264,19 +248,12 @@ DeviceShard::~DeviceShard() {
     }
     reap_child(/*force_kill=*/true);
   }
-  if (stack_.recorder != nullptr && device_ != nullptr) {
-    device_->set_launch_observer(nullptr);
-  }
 }
 
 void DeviceShard::build_in_process() {
-  device_ = std::make_unique<gpu::Device>(
-      opts_.heap_bytes + (8u << 20),
-      gpu::GpuConfig{.num_sms = opts_.num_sms,
-                     .lane_stack_bytes = 32 * 1024,
-                     .watchdog_ms = opts_.watchdog_ms});
-  stack_ = core::StackBuilder(*device_).build(opts_.stack, opts_.heap_bytes);
-  device_->launch(opts_.num_sms * 2, 256, [](gpu::ThreadCtx&) {});
+  cell_ = std::make_unique<core::StackCell>(
+      core::StackSpec::parse(opts_.stack), opts_.heap_bytes, opts_.num_sms,
+      opts_.watchdog_ms);
   slots_.clear();
   poisoned_ = false;
   alive_ = true;
@@ -296,7 +273,7 @@ void DeviceShard::spawn_child() {
     ::close(req[1]);
     ::close(rsp[0]);
     child_close_foreign_fds(req[0], rsp[1]);
-    child_main(req[0], rsp[1], opts_);  // never returns
+    child_main(req[0], rsp[1], id_, opts_);  // never returns
   }
   ::close(req[0]);
   ::close(rsp[1]);
@@ -343,19 +320,13 @@ bool DeviceShard::respawn() {
     return true;
   }
   try {
-    device_.reset();  // join the old SM workers before rebuilding
-    stack_ = {};
+    cell_.reset();  // join the old SM workers before rebuilding
     build_in_process();
   } catch (...) {
     alive_ = false;
     return false;
   }
   return true;
-}
-
-std::uint64_t DeviceShard::heartbeats() const {
-  if (!opts_.forked && device_ != nullptr) return device_->heartbeat_sum();
-  return completed_batches_;
 }
 
 BatchResult DeviceShard::execute(const Batch& batch) {
@@ -371,13 +342,13 @@ BatchResult DeviceShard::execute(const Batch& batch) {
 
 BatchResult DeviceShard::execute_in_process(const Batch& batch) {
   BatchResult res;
-  if (poisoned_ || device_ == nullptr) {
+  if (poisoned_ || cell_ == nullptr) {
     res.verdict = core::Verdict::kCrash;
     res.detail = "shard device is dead";
     return res;
   }
   try {
-    const auto counts = run_batch(*device_, *stack_.manager, slots_, batch);
+    const auto counts = run_batch(cell_->dev(), cell_->mgr(), slots_, batch);
     res.ops_ok = counts.ops_ok;
     res.ops_failed = counts.ops_failed;
     res.orphaned_frees = counts.orphaned;

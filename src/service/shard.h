@@ -9,7 +9,6 @@
 
 #include "core/stack_builder.h"
 #include "core/survey_runner.h"
-#include "gpu/device.h"
 #include "service/tenant.h"
 
 namespace gms::service {
@@ -39,12 +38,13 @@ struct BatchResult {
 ///    anything else -> validation-error); a crash-grade failure cannot be
 ///    contained — which is exactly why the hostile/bench failover paths
 ///    use the forked mode.
-///  - forked: the Device lives in a fork()ed child that receives batches
-///    over a pipe and answers with wire results. SIGKILLing the child is
-///    a REAL mid-stream device loss: the parent classifies the dead pipe
-///    into a crash verdict and the service re-shards the tenants — the
-///    survey runner's containment model promoted from per-cell to
-///    per-device lifetime.
+///  - forked: an in-process shard behind a pipe. A fork()ed child builds
+///    one from the same Options and answers each batch the parent sends
+///    with that shard's execute() result. SIGKILLing the child is a REAL
+///    mid-stream device loss: the parent classifies the dead pipe into a
+///    crash verdict and the service re-shards the tenants — the survey
+///    runner's containment model promoted from per-cell to per-device
+///    lifetime.
 ///
 /// Slot tables are shard-resident ((tenant, slot) -> payload): batches
 /// routed to a shard resolve frees locally, so a failed-over tenant's
@@ -67,7 +67,7 @@ class DeviceShard {
   };
 
   /// Shard-resident slot payload ((tenant, slot) -> live allocation).
-  /// Public so the forked child's server loop shares the batch executor.
+  /// Public so the batch executor in shard.cpp can name it.
   struct SlotVal {
     void* ptr = nullptr;
     std::uint32_t size = 0;
@@ -95,14 +95,9 @@ class DeviceShard {
 
   [[nodiscard]] bool alive() const { return alive_; }
   [[nodiscard]] unsigned id() const { return id_; }
-  [[nodiscard]] const Options& options() const { return opts_; }
   [[nodiscard]] std::uint64_t completed_batches() const {
     return completed_batches_;
   }
-  /// Watchdog heartbeat snapshot (gpu seam): in-process devices report
-  /// their SM heartbeat sum; forked children report batches as beats (the
-  /// pipe protocol is the liveness signal there).
-  [[nodiscard]] std::uint64_t heartbeats() const;
 
  private:
   void spawn_child();
@@ -117,9 +112,8 @@ class DeviceShard {
   bool poisoned_ = false;  ///< in-process kill(): simulated dead device
   std::uint64_t completed_batches_ = 0;
 
-  // In-process mode.
-  std::unique_ptr<gpu::Device> device_;
-  core::BuiltStack stack_;
+  // In-process mode (the forked child runs one of these too).
+  std::unique_ptr<core::StackCell> cell_;
   std::unordered_map<std::uint64_t, SlotVal> slots_;
 
   // Forked mode.

@@ -11,14 +11,6 @@ ShardPolicy::Kind ShardPolicy::parse_kind(std::string_view s) {
                               "\" (expected hash|rr)"};
 }
 
-std::string_view ShardPolicy::kind_name(Kind k) {
-  switch (k) {
-    case Kind::kHash: return "hash";
-    case Kind::kRoundRobin: return "rr";
-  }
-  return "?";
-}
-
 unsigned ShardPolicy::pick(std::uint32_t tenant,
                            const std::vector<unsigned>& healthy,
                            std::uint64_t salt) const {

@@ -24,7 +24,6 @@ class ShardPolicy {
 
   /// Parses "hash" | "rr" / "round-robin". Throws std::invalid_argument.
   static Kind parse_kind(std::string_view s);
-  [[nodiscard]] static std::string_view kind_name(Kind k);
 
   /// Picks a shard for `tenant` from `healthy` (ascending shard ids; must
   /// be non-empty). `salt` is the tenant's re-shard generation: 0 for

@@ -2,7 +2,11 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <unordered_map>
+
+#include "core/stack_builder.h"
+#include "core/validating_manager.h"
 
 namespace gms::trace {
 namespace {
@@ -185,6 +189,45 @@ ReplayResult TraceReplayer::replay(gpu::Device& device,
   result.hazards = hazards_;
   result.unmatched_frees = unmatched_frees_;
   return result;
+}
+
+ReplayVerdict replay_verdict_cell(const Trace& trace,
+                                  const core::StackSpec& stack,
+                                  unsigned num_sms, double watchdog_ms) {
+  using core::SurveyRunner;
+  const std::size_t heap = trace.header.heap_bytes != 0
+                               ? trace.header.heap_bytes
+                               : (64u << 20);
+  if (num_sms == 0) {
+    num_sms = trace.header.num_sms != 0 ? trace.header.num_sms : 4;
+  }
+  core::StackCell cell(stack, heap, num_sms, watchdog_ms);
+  ReplayVerdict v;
+  v.result = TraceReplayer(trace).replay(cell.dev(), cell.mgr());
+  const ReplayResult& r = v.result;
+
+  const auto audit = cell.mgr().audit();
+  if (audit.supported && !audit.ok) {
+    v.outcome = {SurveyRunner::kExitValidation, audit.to_string()};
+    return v;
+  }
+  if (auto* validator = cell.stack().validator; validator != nullptr) {
+    const auto report = validator->drain_report(/*leaks_are_errors=*/false);
+    if (!report.clean()) {
+      v.outcome = {SurveyRunner::kExitValidation, report.to_string()};
+      return v;
+    }
+  }
+  if (r.failed_mallocs > 0) {
+    v.outcome = {SurveyRunner::kExitOom,
+                 std::to_string(r.failed_mallocs) + " of " +
+                     std::to_string(r.mallocs) + " mallocs failed"};
+    return v;
+  }
+  v.outcome = {SurveyRunner::kExitOk,
+               std::to_string(r.mallocs) + " mallocs, " +
+                   std::to_string(r.frees) + " frees replayed clean"};
+  return v;
 }
 
 }  // namespace gms::trace

@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "core/memory_manager.h"
+#include "core/stack_spec.h"
+#include "core/survey_runner.h"
 #include "gpu/device.h"
 #include "gpu/stats.h"
 #include "trace/trace_format.h"
@@ -97,5 +99,31 @@ class TraceReplayer {
   std::uint64_t hazards_ = 0;
   std::uint64_t unmatched_frees_ = 0;
 };
+
+/// A replay classified with the survey exit-code protocol, plus the replay
+/// counts it was classified from.
+struct ReplayVerdict {
+  core::CellOutcome outcome;
+  ReplayResult result;
+};
+
+/// The one replay verdict: replays `trace` once against `stack` on a fresh
+/// core::StackCell shaped by the trace header (its heap, else 64 MiB; SMs
+/// from `num_sms`, else the header, else 4) and maps the survivable
+/// outcomes:
+///   - a failed post-replay audit or a dirty validation report ->
+///     kExitValidation (leaks are NOT errors: minimized traces drop frees by
+///     construction);
+///   - any kernel-visible failed malloc -> kExitOom (heap or reserve
+///     exhausted; under a "resilient>" stack the recovery chain itself ran
+///     dry);
+///   - otherwise kExitOk.
+/// Callers run it inside a SurveyRunner fork, so crashes and hangs classify
+/// themselves: the corpus sweep, the soak minimizer, corpus_gen and the
+/// config tuner all score replays through it.
+[[nodiscard]] ReplayVerdict replay_verdict_cell(const Trace& trace,
+                                                const core::StackSpec& stack,
+                                                unsigned num_sms,
+                                                double watchdog_ms = 8000);
 
 }  // namespace gms::trace

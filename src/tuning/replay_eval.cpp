@@ -5,8 +5,6 @@
 #include <sstream>
 #include <vector>
 
-#include "core/stack_builder.h"
-#include "trace/trace_recorder.h"
 #include "trace/trace_replay.h"
 
 namespace gms::tuning {
@@ -28,53 +26,29 @@ ReplayEvaluator::ReplayEvaluator(std::string manager, trace::Trace trace,
 
 EvalResult ReplayEvaluator::operator()(const core::ConfigKV& overrides) const {
   const auto probe = runner_.probe_cell_detail([&]() -> core::CellOutcome {
-    const std::size_t heap = trace_.header.heap_bytes != 0
-                                 ? trace_.header.heap_bytes
-                                 : (64u << 20);
-    unsigned num_sms = opts_.num_sms;
-    if (num_sms == 0) {
-      num_sms = trace_.header.num_sms != 0 ? trace_.header.num_sms : 4;
-    }
-    gpu::Device dev(heap + (8u << 20),
-                    gpu::GpuConfig{.num_sms = num_sms,
-                                   .lane_stack_bytes = 32 * 1024,
-                                   .watchdog_ms = opts_.watchdog_ms});
     core::StackSpec spec;
     spec.base = manager_;
     spec.base_config = overrides;
-    dev.launch(num_sms * 2, 256, [](gpu::ThreadCtx&) {});  // warm-up
-
     // Every rep replays the workload against a *fresh* manager: the cold
     // carve/probe/walk work is exactly where config choices bite, and a
     // warm manager would hide it behind recycled free-list state. The
-    // median over cold reps is the score.
-    trace::TraceReplayer replayer(trace_);
+    // median over cold reps is the score; the first rep that fails (a
+    // dirty audit, or a geometry that cannot hold the workload) is the
+    // candidate's verdict, and its time is never read.
     std::vector<double> times;
-    std::uint64_t failed = 0, mallocs = 0;
+    std::uint64_t mallocs = 0;
     const unsigned reps = std::max(1u, opts_.reps);
     for (unsigned r = 0; r < reps; ++r) {
-      auto stack = core::StackBuilder(dev).build(spec, heap);
-      const auto res = replayer.replay(dev, *stack.manager);
-      times.push_back(res.elapsed_ms);
-      failed += res.failed_mallocs;
-      mallocs += res.mallocs;
-
-      // The verdict half of the protocol mirrors replay_verdict_cell: a
-      // dirty audit disqualifies harder than slow ever could; a failed
-      // malloc means the candidate geometry can't even hold the workload.
-      const auto audit = stack.manager->audit();
-      if (audit.supported && !audit.ok) {
-        return {core::SurveyRunner::kExitValidation, audit.to_string()};
-      }
+      const auto v = trace::replay_verdict_cell(trace_, spec, opts_.num_sms,
+                                                opts_.watchdog_ms);
+      if (v.outcome.exit_code != core::SurveyRunner::kExitOk) return v.outcome;
+      times.push_back(v.result.elapsed_ms);
+      mallocs += v.result.mallocs;
     }
     std::sort(times.begin(), times.end());
-    const double median = times[times.size() / 2];
     std::ostringstream os;
-    os << "ms=" << median << ";mallocs=" << mallocs << ";reps=" << reps;
-    if (failed > 0) {
-      return {core::SurveyRunner::kExitOom,
-              os.str() + ";failed=" + std::to_string(failed)};
-    }
+    os << "ms=" << times[times.size() / 2] << ";mallocs=" << mallocs
+       << ";reps=" << reps;
     return {core::SurveyRunner::kExitOk, os.str()};
   });
 

@@ -24,13 +24,13 @@ struct ReplayEvalOptions {
 };
 
 /// The tuner's EvalFn over a recorded workload: each call forks one
-/// SurveyRunner cell that builds a fresh device from the trace header,
-/// constructs `manager` with the candidate overrides through the registry's
-/// ConfigModel, replays the trace `reps` times and reports the median
-/// replayed wall time back through the detail pipe ("ms=<float>;..."). The
-/// SurveyRunner taxonomy applies unchanged: crashes, watchdog timeouts,
-/// failed mallocs (oom) and dirty audits (validation-error) come back as
-/// their verdicts and the tuner disqualifies them.
+/// SurveyRunner cell that scores `manager` with the candidate overrides
+/// through trace::replay_verdict_cell `reps` times, each on a fresh
+/// StackCell, and reports the median replayed wall time back through the
+/// detail pipe ("ms=<float>;mallocs=<n>;reps=<r>"). The SurveyRunner
+/// taxonomy applies unchanged: crashes, watchdog timeouts, failed mallocs
+/// (oom) and dirty audits (validation-error) come back as their verdicts,
+/// with the failing rep's detail, and the tuner disqualifies them.
 class ReplayEvaluator {
  public:
   /// `manager` must be a registered, configurable base name.

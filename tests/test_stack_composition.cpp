@@ -397,6 +397,55 @@ TEST(StackBuilderTest, StageKnobsReachTheirLayers) {
   EXPECT_EQ(stack.injector->injected_failures(), stack.injector->calls() / 4);
 }
 
+TEST(StackCellTest, BuildsOneWarmStackOnAFreshDevice) {
+  // One device-side and one host-based base under every marker-emitting
+  // stage a bench stacks: the cell is StackBuilder on a fresh device of the
+  // documented shape, warmed up once, with its recorder still off.
+  constexpr unsigned kSms = 3;
+  constexpr double kWatchdogMs = 1500;
+  for (const std::string base : {"ScatterAlloc", "HostExtent"}) {
+    SCOPED_TRACE(base);
+    const auto spec = StackSpec::parse("trace>validate>resilient>" + base);
+    core::StackCell cell(spec, kHeapBytes, kSms, kWatchdogMs);
+    EXPECT_EQ(cell.dev().arena().size(),
+              kHeapBytes + core::kArenaSlackBytes);
+    EXPECT_EQ(cell.heap_bytes(), kHeapBytes);
+    EXPECT_EQ(cell.dev().config().num_sms, kSms);
+    EXPECT_EQ(cell.dev().config().watchdog_ms, kWatchdogMs);
+    EXPECT_EQ(cell.dev().session_launches(), 1u);  // the warm-up
+    EXPECT_EQ(cell.dev().session_threads_launched(), kSms * 512u);
+    const core::BuiltStack& s = cell.stack();
+    ASSERT_NE(s.recorder, nullptr);
+    EXPECT_FALSE(s.recorder->enabled());
+    EXPECT_TRUE(s.recorder->drain().empty());  // the warm-up went unrecorded
+
+    Device dev(kHeapBytes + core::kArenaSlackBytes,
+               GpuConfig{.num_sms = kSms, .lane_stack_bytes = 32 * 1024,
+                         .watchdog_ms = kWatchdogMs});
+    const auto hand = StackBuilder(dev).build(spec, kHeapBytes);
+    EXPECT_EQ(s.name, hand.name);
+    EXPECT_EQ(s.name, base + "+R+V");
+    ASSERT_NE(s.validator, nullptr);
+    ASSERT_NE(s.resilient, nullptr);
+    ASSERT_NE(s.tracer, nullptr);
+    EXPECT_NE(hand.validator, nullptr);
+    EXPECT_NE(hand.resilient, nullptr);
+    EXPECT_NE(hand.tracer, nullptr);
+    EXPECT_EQ(s.injector, nullptr);
+    EXPECT_EQ(s.aggregator, nullptr);
+    EXPECT_EQ(s.base, &s.resilient->inner());
+    EXPECT_EQ(s.base->traits().name, hand.base->traits().name);
+
+    // One recorded launch, then teardown with the observer still set.
+    s.recorder->set_enabled(true);
+    core::MemoryManager& mgr = cell.mgr();
+    cell.dev().launch_n(256, [&mgr](ThreadCtx& t) {
+      if (void* p = mgr.malloc(t, 64); p != nullptr) mgr.free(t, p);
+    });
+    EXPECT_GT(s.recorder->buffered(), 0u);
+  }
+}
+
 TEST(StackBuilderTest, UnknownBaseThrows) {
   Device dev(8u << 20, GpuConfig{.num_sms = 1});
   EXPECT_THROW((void)StackBuilder(dev).build("validate>Nope", 1u << 20),
