@@ -66,10 +66,8 @@ struct AuditTally {
 /// `validate`, a registered manager runs under a validate stage (redzones,
 /// shadow bitmap; bench::validated_cell), so heap damage surfaces as
 /// validation errors rather than silent misbehaviour; the hostile stubs
-/// run bare. The oom cell opts out: exhaustion-scale allocation counts
-/// overflow the validator's live-pointer table (a harness capacity limit,
-/// not corruption), and the per-block redzone overhead would distort the
-/// utilisation data anyway.
+/// run bare. The oom cell opts out: the per-block redzone overhead would
+/// distort its utilisation data.
 bench::ManagedDevice make_cell_device(const bench::BenchArgs& args,
                                       const std::string& name,
                                       bool validate) {

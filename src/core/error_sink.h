@@ -21,7 +21,6 @@ enum class ErrorKind : std::uint8_t {
   kOverlap,        ///< malloc returned memory overlapping a live allocation
   kRedzone,        ///< canary before/after the payload was overwritten
   kLeak,           ///< allocation still live at end-of-run leak check
-  kTableFull,      ///< live-pointer table exhausted; tracking degraded
   kCount,
 };
 
@@ -34,7 +33,6 @@ enum class ErrorKind : std::uint8_t {
     case ErrorKind::kOverlap: return "overlap";
     case ErrorKind::kRedzone: return "redzone";
     case ErrorKind::kLeak: return "leak";
-    case ErrorKind::kTableFull: return "table-full";
     case ErrorKind::kCount: break;
   }
   return "?";

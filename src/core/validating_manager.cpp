@@ -17,13 +17,9 @@ namespace {
 constexpr std::uint32_t kLive = 0xA110C8EDu;
 constexpr std::uint32_t kFreed = 0xDEADF4EEu;
 
-constexpr std::uint64_t kSlotEmpty = 0;
-constexpr std::uint64_t kSlotTombstone = ~std::uint64_t{0};
+constexpr std::size_t kGranule = 8;  ///< heap bytes per bitmap bit
 
-constexpr std::size_t kGranule = 8;  ///< shadow bitmap bytes per bit
-constexpr unsigned kRankBits = 24;   ///< table meta: size << 24 | rank
-
-/// SplitMix64 finalizer — table hash and canary generator.
+/// SplitMix64 finalizer — the canary generator.
 constexpr std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -52,24 +48,23 @@ ValidatingManager::ValidatingManager(gpu::Device& dev, std::size_t heap_bytes,
   const auto t0 = std::chrono::steady_clock::now();
   heap_base_ = dev.arena().data();
 
-  // Tail carve: ~1/8th of the slice becomes shadow bitmap + live table; the
+  // Tail carve: ~1/8th of the slice holds the shadow and start bitmaps; the
   // inner manager governs the untouched prefix so its own carving still
-  // starts at arena offset 0.
+  // starts at arena offset 0. The bitmaps fill 1/32 of the inner heap and
+  // the rest of the carve is never touched, so it costs no page; shrinking
+  // the carve would move every +V inner heap, and with it the committed
+  // corpus verdicts and replay oracles.
   const std::size_t meta_bytes =
       std::max<std::size_t>(heap_bytes / 8, std::size_t{16} * 1024);
   assert(heap_bytes > 2 * meta_bytes && "heap too small to validate");
   inner_heap_bytes_ = (heap_bytes - meta_bytes) & ~std::size_t{63};
 
-  const std::size_t granules = inner_heap_bytes_ / kGranule;
-  const std::size_t shadow_words = (granules + 63) / 64;
+  // Word w of either bitmap covers the same 512 B of inner heap.
+  bitmap_words_ = (inner_heap_bytes_ / kGranule + 63) / 64;
   shadow_ = reinterpret_cast<std::uint64_t*>(heap_base_ + inner_heap_bytes_);
-  const std::size_t table_bytes =
-      heap_bytes - inner_heap_bytes_ - shadow_words * sizeof(std::uint64_t);
-  table_capacity_ = std::bit_floor(table_bytes / sizeof(TableSlot));
-  assert(table_capacity_ >= 64);
-  table_ = reinterpret_cast<TableSlot*>(
-      heap_base_ + inner_heap_bytes_ + shadow_words * sizeof(std::uint64_t));
-  std::memset(shadow_, 0, heap_bytes - inner_heap_bytes_);
+  starts_ = shadow_ + bitmap_words_;
+  assert(2 * bitmap_words_ * sizeof(std::uint64_t) <=
+         heap_bytes - inner_heap_bytes_);
 
   inner_ = make_inner(dev, inner_heap_bytes_);
   name_ = std::string(inner_->traits().name);
@@ -132,52 +127,34 @@ void ValidatingManager::shadow_clear(std::size_t off, std::size_t len) {
   }
 }
 
-void ValidatingManager::table_insert(gpu::ThreadCtx& ctx,
-                                     std::uint64_t payload_off,
-                                     std::uint64_t size, std::uint32_t rank) {
-  const std::uint64_t key = payload_off + 1;
-  const std::uint64_t meta = (size << kRankBits) |
-                             (rank & ((std::uint32_t{1} << kRankBits) - 1));
-  std::uint64_t idx = mix64(payload_off) & (table_capacity_ - 1);
-  for (std::size_t probe = 0; probe < table_capacity_; ++probe) {
-    TableSlot& slot = table_[idx];
-    std::atomic_ref<std::uint64_t> ptr(slot.ptr);
-    std::uint64_t cur = ptr.load(std::memory_order_relaxed);
-    if ((cur == kSlotEmpty || cur == kSlotTombstone) &&
-        ptr.compare_exchange_strong(cur, key, std::memory_order_acq_rel)) {
-      std::atomic_ref<std::uint64_t>(slot.meta).store(
-          meta, std::memory_order_release);
-      return;
+template <typename Fn>
+void ValidatingManager::for_each_start(Fn&& fn) const {
+  for (std::size_t w = 0; w < bitmap_words_; ++w) {
+    std::uint64_t bits = std::atomic_ref<std::uint64_t>(starts_[w])
+                             .load(std::memory_order_acquire);
+    while (bits != 0) {
+      const auto bit = static_cast<std::uint64_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      fn((w * 64 + bit) * kGranule);
     }
-    idx = (idx + 1) & (table_capacity_ - 1);
-  }
-  // Degraded mode: the allocation stays usable and redzone-protected via its
-  // header; it just cannot appear in leak scans. Reported once.
-  if (!table_overflowed_.exchange(true)) {
-    sink_.record(ctx, ErrorKind::kTableFull, size, payload_off);
   }
 }
 
-void ValidatingManager::table_remove(std::uint64_t payload_off) {
-  const std::uint64_t key = payload_off + 1;
-  std::uint64_t idx = mix64(payload_off) & (table_capacity_ - 1);
-  for (std::size_t probe = 0; probe < table_capacity_; ++probe) {
-    std::atomic_ref<std::uint64_t> ptr(table_[idx].ptr);
-    std::uint64_t cur = ptr.load(std::memory_order_acquire);
-    if (cur == key &&
-        ptr.compare_exchange_strong(cur, kSlotTombstone,
-                                    std::memory_order_acq_rel)) {
-      return;
-    }
-    if (cur == kSlotEmpty) return;  // not tracked (table overflow)
-    idx = (idx + 1) & (table_capacity_ - 1);
-  }
+ValidatingManager::Header* ValidatingManager::header_at(
+    std::uint64_t payload_off) const {
+  return reinterpret_cast<Header*>(heap_base_ + payload_off - kFrontBytes);
+}
+
+bool ValidatingManager::fits(std::uint64_t payload_off,
+                             std::uint64_t size) const {
+  return payload_off + kRearBytes <= inner_heap_bytes_ &&
+         size <= inner_heap_bytes_ - payload_off - kRearBytes;
 }
 
 bool ValidatingManager::redzones_intact(std::uint64_t payload_off,
                                         std::uint64_t size) const {
-  const auto* h = reinterpret_cast<const Header*>(heap_base_ + payload_off -
-                                                  kFrontBytes);
+  if (!fits(payload_off, size)) return false;
+  const Header* h = header_at(payload_off);
   bool bad = h->canary0 != canary_word(payload_off, 0) ||
              h->canary1 != canary_word(payload_off, 1);
   std::uint64_t rear[2];  // may sit at any byte offset: memcpy, not a cast
@@ -187,16 +164,34 @@ bool ValidatingManager::redzones_intact(std::uint64_t payload_off,
   return !bad;
 }
 
-void ValidatingManager::check_redzones(gpu::ThreadCtx* ctx,
-                                       std::uint64_t payload_off,
-                                       std::uint64_t size,
-                                       std::uint32_t rank) {
-  if (redzones_intact(payload_off, size)) return;
-  if (ctx != nullptr) {
-    sink_.record(*ctx, ErrorKind::kRedzone, size, payload_off);
-  } else {
-    sink_.record_host(ErrorKind::kRedzone, rank, size, payload_off);
+const char* ValidatingManager::damage(std::uint64_t payload_off) const {
+  Header* h = header_at(payload_off);
+  if (std::atomic_ref<std::uint32_t>(h->magic).load(
+          std::memory_order_acquire) != kLive) {
+    return "start bit without live header magic";
   }
+  if (!fits(payload_off, h->size)) {
+    return "header size runs past the inner heap";
+  }
+  if (!redzones_intact(payload_off, h->size)) {
+    return "redzone canary overwritten";
+  }
+  return nullptr;
+}
+
+void ValidatingManager::retire(gpu::ThreadCtx& ctx, std::uint64_t payload_off) {
+  const std::uint64_t size = header_at(payload_off)->size;
+  if (!redzones_intact(payload_off, size)) {
+    sink_.record(ctx, ErrorKind::kRedzone, size, payload_off);
+  }
+  // A size past the heap leaves the block's shadow marked: the header no
+  // longer says which granules were its own.
+  if (fits(payload_off, size)) {
+    shadow_clear(payload_off - kFrontBytes, size + kFrontBytes + kRearBytes);
+  }
+  const std::uint64_t g = payload_off / kGranule;
+  std::atomic_ref<std::uint64_t>(starts_[g / 64])
+      .fetch_and(~(std::uint64_t{1} << (g % 64)), std::memory_order_acq_rel);
 }
 
 void* ValidatingManager::wrap_allocation(gpu::ThreadCtx& ctx, std::size_t size,
@@ -229,7 +224,9 @@ void* ValidatingManager::wrap_allocation(gpu::ThreadCtx& ctx, std::size_t size,
   std::memcpy(bytes + kFrontBytes + size, rear, kRearBytes);
   std::atomic_ref<std::uint32_t>(h->magic).store(kLive,
                                                  std::memory_order_release);
-  table_insert(ctx, payload_off, size, ctx.thread_rank());
+  const std::uint64_t g = payload_off / kGranule;
+  std::atomic_ref<std::uint64_t>(starts_[g / 64])
+      .fetch_or(std::uint64_t{1} << (g % 64), std::memory_order_acq_rel);
   return bytes + kFrontBytes;
 }
 
@@ -277,40 +274,30 @@ void ValidatingManager::free(gpu::ThreadCtx& ctx, void* ptr) {
     }
     return;
   }
-  const std::uint64_t size = h->size;
-  check_redzones(&ctx, payload_off, size, h->rank);
-  shadow_clear(payload_off - kFrontBytes, size + kFrontBytes + kRearBytes);
-  table_remove(payload_off);
+  retire(ctx, payload_off);
   inner_->free(ctx, h);
 }
 
 void ValidatingManager::release_warp_entries(gpu::ThreadCtx& ctx,
                                              std::uint32_t warp) {
-  for (std::size_t i = 0; i < table_capacity_; ++i) {
-    std::atomic_ref<std::uint64_t> ptr(table_[i].ptr);
-    std::uint64_t key = ptr.load(std::memory_order_acquire);
-    if (key == kSlotEmpty || key == kSlotTombstone) continue;
-    const std::uint64_t meta = std::atomic_ref<std::uint64_t>(table_[i].meta)
-                                   .load(std::memory_order_acquire);
-    const auto rank =
-        static_cast<std::uint32_t>(meta & ((std::uint32_t{1} << kRankBits) - 1));
-    if (rank / gpu::kWarpSize != warp) continue;
-    if (!ptr.compare_exchange_strong(key, kSlotTombstone,
-                                     std::memory_order_acq_rel)) {
-      continue;
+  for_each_start([&](std::uint64_t off) {
+    Header* h = header_at(off);
+    // Lanes of other warps may be freeing and reusing their blocks while
+    // this walk runs: their headers are read atomically and claimed by the
+    // magic CAS, as in free(), so no block is retired twice.
+    const std::uint32_t rank =
+        std::atomic_ref<std::uint32_t>(h->rank).load(std::memory_order_relaxed);
+    if (rank / gpu::kWarpSize != warp) return;
+    std::uint32_t seen = kLive;
+    if (std::atomic_ref<std::uint32_t>(h->magic).compare_exchange_strong(
+            seen, kFreed, std::memory_order_acq_rel)) {
+      retire(ctx, off);
     }
-    const std::uint64_t off = key - 1;
-    const std::uint64_t size = meta >> kRankBits;
-    check_redzones(&ctx, off, size, rank);
-    auto* h = reinterpret_cast<Header*>(heap_base_ + off - kFrontBytes);
-    std::atomic_ref<std::uint32_t>(h->magic).store(kFreed,
-                                                   std::memory_order_release);
-    shadow_clear(off - kFrontBytes, size + kFrontBytes + kRearBytes);
-  }
+  });
 }
 
 void ValidatingManager::warp_free_all(gpu::ThreadCtx& ctx) {
-  // One lane retires the warp's table entries before the inner manager
+  // One lane retires the warp's live blocks before the inner manager
   // recycles the memory; the others wait at the coalesce and again inside
   // the inner warp_free_all's own leader election.
   const gpu::Coalesced g = ctx.coalesce();
@@ -322,10 +309,10 @@ void ValidatingManager::warp_free_all(gpu::ThreadCtx& ctx) {
 
 std::uint64_t ValidatingManager::live_count() const {
   std::uint64_t live = 0;
-  for (std::size_t i = 0; i < table_capacity_; ++i) {
-    const std::uint64_t key = std::atomic_ref<std::uint64_t>(table_[i].ptr)
-                                  .load(std::memory_order_acquire);
-    live += (key != kSlotEmpty && key != kSlotTombstone) ? 1 : 0;
+  for (std::size_t w = 0; w < bitmap_words_; ++w) {
+    live += static_cast<std::uint64_t>(std::popcount(
+        std::atomic_ref<std::uint64_t>(starts_[w])
+            .load(std::memory_order_acquire)));
   }
   return live;
 }
@@ -333,67 +320,33 @@ std::uint64_t ValidatingManager::live_count() const {
 AuditResult ValidatingManager::audit() {
   AuditResult result;
   result.supported = true;
-  for (std::size_t i = 0; i < table_capacity_; ++i) {
-    const std::uint64_t key = std::atomic_ref<std::uint64_t>(table_[i].ptr)
-                                  .load(std::memory_order_acquire);
-    if (key == kSlotEmpty || key == kSlotTombstone) continue;
-    const std::uint64_t meta = std::atomic_ref<std::uint64_t>(table_[i].meta)
-                                   .load(std::memory_order_acquire);
-    const std::uint64_t off = key - 1;
-    const std::uint64_t size = meta >> kRankBits;
+  for_each_start([&](std::uint64_t off) {
     ++result.structures_walked;
-    if (off < kFrontBytes || off + size + kRearBytes > inner_heap_bytes_) {
-      ++result.failures;
-      if (result.detail.empty()) {
-        result.detail = "tracked block outside the inner heap @heap+" +
-                        std::to_string(off);
-      }
-      continue;  // header/canary reads would be out of bounds
+    const char* what = damage(off);
+    if (what == nullptr) return;
+    ++result.failures;
+    if (result.detail.empty()) {
+      result.detail = std::string(what) + " (size " +
+                      std::to_string(header_at(off)->size) + " B @heap+" +
+                      std::to_string(off) + ")";
     }
-    auto* h = reinterpret_cast<Header*>(heap_base_ + off - kFrontBytes);
-    const std::uint32_t magic =
-        std::atomic_ref<std::uint32_t>(h->magic).load(
-            std::memory_order_acquire);
-    bool bad = false;
-    std::string what;
-    if (magic != kLive) {
-      bad = true;
-      what = "live-table entry without live header magic";
-    } else if (h->size != size) {
-      bad = true;
-      what = "header size disagrees with live table";
-    } else if (!redzones_intact(off, size)) {
-      bad = true;
-      what = "redzone canary overwritten";
-    }
-    if (bad) {
-      ++result.failures;
-      if (result.detail.empty()) {
-        result.detail = what + " (size " + std::to_string(size) + " B @heap+" +
-                        std::to_string(off) + ")";
-      }
-    }
-  }
+  });
   result.ok = result.failures == 0;
   return result.merge(inner_->audit());
 }
 
 LaunchReport ValidatingManager::drain_report(bool leaks_are_errors) {
   std::uint64_t live = 0;
-  for (std::size_t i = 0; i < table_capacity_; ++i) {
-    const std::uint64_t key = std::atomic_ref<std::uint64_t>(table_[i].ptr)
-                                  .load(std::memory_order_acquire);
-    if (key == kSlotEmpty || key == kSlotTombstone) continue;
+  for_each_start([&](std::uint64_t off) {
     ++live;
-    const std::uint64_t meta = std::atomic_ref<std::uint64_t>(table_[i].meta)
-                                   .load(std::memory_order_acquire);
-    const std::uint64_t off = key - 1;
-    const std::uint64_t size = meta >> kRankBits;
-    const auto rank =
-        static_cast<std::uint32_t>(meta & ((std::uint32_t{1} << kRankBits) - 1));
-    check_redzones(nullptr, off, size, rank);
-    if (leaks_are_errors) sink_.record_host(ErrorKind::kLeak, rank, size, off);
-  }
+    const Header* h = header_at(off);
+    if (damage(off) != nullptr) {
+      sink_.record_host(ErrorKind::kRedzone, h->rank, h->size, off);
+    }
+    if (leaks_are_errors) {
+      sink_.record_host(ErrorKind::kLeak, h->rank, h->size, off);
+    }
+  });
   LaunchReport report = sink_.drain(std::string(inner_->traits().name));
   report.live_allocations = live;
   return report;

@@ -22,8 +22,10 @@ namespace gms::core {
 ///  * a shadow bitmap over the inner heap (1 bit per 8-byte granule, carved
 ///    from the tail of the manager's arena slice) catches overlapping
 ///    allocations and out-of-heap returns the moment malloc yields them;
-///  * a live-pointer table (open addressing, also arena-backed) supports the
-///    end-of-run leak scan and host-side redzone sweeps of live blocks.
+///  * a start bitmap beside it (1 bit per granule, set at each live payload
+///    start) is the live set: the end-of-run leak scan, the audit and the
+///    host-side redzone sweeps walk its set bits in address order, and the
+///    header is the only record of each block's size and owner lane.
 ///
 /// Errors are never fatal: they are recorded into a DeviceErrorSink (per-SM
 /// rings, like StatsCounters) and drained into a LaunchReport, so a corrupting
@@ -36,7 +38,10 @@ namespace gms::core {
 class ValidatingManager final : public MemoryManager {
  public:
   /// Carves the validation metadata from the tail of `heap_bytes` and builds
-  /// the inner manager over the remaining prefix.
+  /// the inner manager over the remaining prefix. The carve must read as
+  /// zero (a fresh or cleared arena, as StackBuilder::build provides): both
+  /// bitmaps start empty without being written, so construction touches no
+  /// metadata page and a run pays only for the pages its blocks cover.
   ValidatingManager(gpu::Device& dev, std::size_t heap_bytes,
                     const ManagerFactory& make_inner);
 
@@ -57,11 +62,11 @@ class ValidatingManager final : public MemoryManager {
   /// Call between launches only.
   LaunchReport drain_report(bool leaks_are_errors = false);
 
-  /// Heap-integrity audit: non-destructively sweeps every tracked live
-  /// block's header magic + canaries and its shadow-bitmap coverage, then
-  /// folds in the inner manager's own audit. Unlike drain_report this
-  /// neither drains the sink nor records new errors, so it can run after
-  /// every kernel without perturbing the end-of-run report.
+  /// Heap-integrity audit: non-destructively sweeps every live block's
+  /// header (magic, a size inside the inner heap) and canaries, then folds
+  /// in the inner manager's own audit. Unlike drain_report this neither
+  /// drains the sink nor records new errors, so it can run after every
+  /// kernel without perturbing the end-of-run report.
   [[nodiscard]] AuditResult audit() override;
 
   /// Redzone bytes in front of each payload (header + canaries).
@@ -78,16 +83,23 @@ class ValidatingManager final : public MemoryManager {
   /// any granule was already marked (overlapping allocation).
   bool shadow_mark(std::size_t off, std::size_t len);
   void shadow_clear(std::size_t off, std::size_t len);
-  void table_insert(gpu::ThreadCtx& ctx, std::uint64_t payload_off,
-                    std::uint64_t size, std::uint32_t rank);
-  void table_remove(std::uint64_t payload_off);
-  /// True when one tracked live block's front/rear canaries are intact.
+  /// Calls fn(payload_off) for every set start bit, in address order.
+  template <typename Fn>
+  void for_each_start(Fn&& fn) const;
+  [[nodiscard]] Header* header_at(std::uint64_t payload_off) const;
+  /// True when a `size`-byte payload at `payload_off` and its rear canary
+  /// end inside the inner heap.
+  [[nodiscard]] bool fits(std::uint64_t payload_off, std::uint64_t size) const;
+  /// True when the block fits and its front/rear canaries are intact; reads
+  /// nothing outside the inner heap, whatever `size` says.
   [[nodiscard]] bool redzones_intact(std::uint64_t payload_off,
                                      std::uint64_t size) const;
-  /// Validates one tracked live block's header + canaries (host or device)
-  /// and records a kRedzone error on damage.
-  void check_redzones(gpu::ThreadCtx* ctx, std::uint64_t payload_off,
-                      std::uint64_t size, std::uint32_t rank);
+  /// Why the block at a set start bit fails the audit (no live magic, a size
+  /// past the inner heap, a damaged canary), or nullptr when it is intact.
+  [[nodiscard]] const char* damage(std::uint64_t payload_off) const;
+  /// Retires a block the caller just claimed (header magic CAS'd to
+  /// kFreed): reports damaged redzones, clears its shadow and start bits.
+  void retire(gpu::ThreadCtx& ctx, std::uint64_t payload_off);
   void release_warp_entries(gpu::ThreadCtx& ctx, std::uint32_t warp);
 
   [[nodiscard]] std::uint64_t canary_word(std::uint64_t off,
@@ -101,14 +113,8 @@ class ValidatingManager final : public MemoryManager {
   std::byte* heap_base_ = nullptr;
   std::size_t inner_heap_bytes_ = 0;
   std::uint64_t* shadow_ = nullptr;  ///< arena-backed, 1 bit / 8 bytes
-
-  struct TableSlot {
-    std::uint64_t ptr;   ///< payload offset + 1; 0 = empty, ~0 = tombstone
-    std::uint64_t meta;  ///< size << 24 | rank
-  };
-  TableSlot* table_ = nullptr;  ///< arena-backed open-addressing table
-  std::size_t table_capacity_ = 0;
-  std::atomic<bool> table_overflowed_{false};
+  std::uint64_t* starts_ = nullptr;  ///< arena-backed, 1 bit / payload start
+  std::size_t bitmap_words_ = 0;     ///< words in each bitmap
 };
 
 }  // namespace gms::core

@@ -14,7 +14,8 @@ TraceRecorder::TraceRecorder(unsigned num_sms, Options opts)
       rings_(std::make_unique<Ring[]>(num_sms + 1)),
       epoch_(std::chrono::steady_clock::now()) {
   for (unsigned i = 0; i <= num_sms_; ++i) {
-    rings_[i].slots = std::make_unique<TraceEvent[]>(capacity_);
+    rings_[i].slots.reset(static_cast<TraceEvent*>(
+        ::operator new(capacity_ * sizeof(TraceEvent))));
   }
 }
 

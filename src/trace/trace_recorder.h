@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "gpu/launch_observer.h"
@@ -78,8 +79,14 @@ class TraceRecorder final : public gpu::LaunchObserver, public MarkerSink {
   [[nodiscard]] std::vector<TraceEvent> drain();
 
  private:
+  /// Ring slots are raw ::operator new storage, never value-initialised:
+  /// a ring's pages fault in only as far as it fills, and drain() reads
+  /// only the slots record() wrote.
+  struct SlotsDelete {
+    void operator()(TraceEvent* p) const { ::operator delete(p); }
+  };
   struct alignas(gpu::kDestructiveInterferenceSize) Ring {
-    std::unique_ptr<TraceEvent[]> slots;
+    std::unique_ptr<TraceEvent[], SlotsDelete> slots;
     std::atomic<std::uint64_t> next{0};     ///< append cursor (may overrun)
     std::atomic<std::uint64_t> dropped{0};
   };

@@ -4,9 +4,11 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/stack_builder.h"
 #include "core/validating_manager.h"
+#include "gpu/stats.h"
 
 namespace gms::trace {
 namespace {
@@ -17,6 +19,14 @@ namespace {
 struct Slot {
   std::atomic<void*> ptr{nullptr};
   std::atomic<bool> ready{false};
+};
+
+/// One SM's replay tallies, summed once the replay's launches are done.
+/// Each SM's lanes run on its one worker thread, so plain increments
+/// suffice; the padding keeps SMs off each other's cache line.
+struct alignas(gpu::kDestructiveInterferenceSize) SmTally {
+  std::uint64_t mallocs = 0, failed = 0, frees = 0, skipped = 0,
+                warp_free_alls = 0;
 };
 
 struct MallocOrigin {
@@ -105,8 +115,7 @@ ReplayResult TraceReplayer::replay(gpu::Device& device,
       opts.replay_frees && traits.supports_free && traits.individual_free;
 
   const auto slots = std::make_unique<Slot[]>(slot_count_);
-  std::atomic<std::uint64_t> mallocs{0}, failed{0}, frees{0}, skipped{0},
-      warp_free_alls{0};
+  std::vector<SmTally> tallies(device.config().num_sms);
 
   for (const auto& seg : segments_) {
     const auto ranks = static_cast<std::uint64_t>(seg.scripts.size());
@@ -116,6 +125,7 @@ ReplayResult TraceReplayer::replay(gpu::Device& device,
                                               : 256;
 
     auto kernel = [&](gpu::ThreadCtx& ctx) {
+      SmTally& tally = tallies[ctx.smid()];
       for (const Op& op : seg.scripts[ctx.thread_rank()]) {
         switch (static_cast<EventKind>(op.kind)) {
           case EventKind::kMalloc:
@@ -124,8 +134,8 @@ ReplayResult TraceReplayer::replay(gpu::Device& device,
                 static_cast<EventKind>(op.kind) == EventKind::kWarpMalloc
                     ? manager.warp_malloc(ctx, op.size)
                     : manager.malloc(ctx, op.size);
-            mallocs.fetch_add(1, std::memory_order_relaxed);
-            if (p == nullptr) failed.fetch_add(1, std::memory_order_relaxed);
+            ++tally.mallocs;
+            if (p == nullptr) ++tally.failed;
             if (op.slot >= 0) {
               // Plain std::atomic, not ctx atomics: replay bookkeeping must
               // not pollute the target manager's instrumentation counters.
@@ -137,12 +147,12 @@ ReplayResult TraceReplayer::replay(gpu::Device& device,
           case EventKind::kFree: {
             if (op.link < 0) {
               // Recorded free(nullptr): still a call the manager saw.
-              frees.fetch_add(1, std::memory_order_relaxed);
+              ++tally.frees;
               if (do_frees) manager.free(ctx, nullptr);
               break;
             }
             if (!do_frees) {
-              skipped.fetch_add(1, std::memory_order_relaxed);
+              ++tally.skipped;
               break;
             }
             Slot& s = slots[op.link];
@@ -153,20 +163,20 @@ ReplayResult TraceReplayer::replay(gpu::Device& device,
             }
             if (void* p = s.ptr.load(std::memory_order_relaxed)) {
               manager.free(ctx, p);
-              frees.fetch_add(1, std::memory_order_relaxed);
+              ++tally.frees;
             } else {
               // This replay's malloc failed where the recording succeeded
               // (different target, smaller heap): nothing to free.
-              skipped.fetch_add(1, std::memory_order_relaxed);
+              ++tally.skipped;
             }
             break;
           }
           case EventKind::kWarpFreeAll:
             if (opts.replay_frees && traits.supports_free) {
               manager.warp_free_all(ctx);
-              warp_free_alls.fetch_add(1, std::memory_order_relaxed);
+              ++tally.warp_free_alls;
             } else {
-              skipped.fetch_add(1, std::memory_order_relaxed);
+              ++tally.skipped;
             }
             break;
           default:
@@ -181,11 +191,13 @@ ReplayResult TraceReplayer::replay(gpu::Device& device,
     result.counters += stats.counters;
   }
 
-  result.mallocs = mallocs.load();
-  result.failed_mallocs = failed.load();
-  result.frees = frees.load();
-  result.skipped_frees = skipped.load();
-  result.warp_free_alls = warp_free_alls.load();
+  for (const SmTally& t : tallies) {
+    result.mallocs += t.mallocs;
+    result.failed_mallocs += t.failed;
+    result.frees += t.frees;
+    result.skipped_frees += t.skipped;
+    result.warp_free_alls += t.warp_free_alls;
+  }
   result.hazards = hazards_;
   result.unmatched_frees = unmatched_frees_;
   return result;

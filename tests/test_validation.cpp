@@ -1,10 +1,12 @@
 // Tests for the hardened-harness decorators: ValidatingManager (redzones,
-// live-pointer table, structured error sink) and FaultInjector (deterministic
-// OOM schedules). Two angles: negative tests prove each corruption class is
+// shadow and start bitmaps, structured error sink) and FaultInjector
+// (deterministic OOM schedules). Two angles: negative tests prove each corruption class is
 // detected and attributed (allocator, lane, size) without crashing, and a
 // seeded property test churns every general-purpose allocator under fault
 // injection and expects a clean report.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -295,6 +297,91 @@ TEST(ValidatingManager, CudaRotatingChurnStaysInsideItsHeap) {
   EXPECT_EQ(nulls, 0u);
   const auto report = mgr->drain_report(/*leaks_are_errors=*/true);
   EXPECT_TRUE(report.clean()) << report.to_string();
+}
+
+TEST(ValidatingManager, ConstructionTouchesNoMetadataPage) {
+  // The carve behind the inner heap (the slice's last eighth) reads as zero
+  // on a cleared arena, so construction must not write it: the bitmaps cost
+  // only the pages a run's blocks cover.
+  constexpr std::size_t kHeap = 64u << 20;
+  Device d(72u << 20, GpuConfig{.num_sms = 1});
+  auto mgr = make_validated(d, kHeap, "ScatterAlloc");
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t first = (kHeap - kHeap / 8 + page - 1) / page * page;
+  std::vector<unsigned char> resident((kHeap - first) / page);
+  ASSERT_EQ(::mincore(d.arena().data() + first, kHeap - first,
+                      resident.data()),
+            0);
+  EXPECT_EQ(std::count_if(resident.begin(), resident.end(),
+                          [](unsigned char v) { return (v & 1) != 0; }),
+            0)
+      << "of " << resident.size() << " metadata pages";
+}
+
+TEST(ValidatingManager, LiveSetHasNoCapacityLimit) {
+  // 8,192 live 16 B Atomic blocks on a 1 MiB heap: every one is tracked
+  // and reported, in address order.
+  Device small(4u << 20, GpuConfig{.num_sms = 2});
+  auto mgr = make_validated(small, 1u << 20, "Atomic");
+  constexpr std::uint64_t kBlocks = 8192;
+  std::uint32_t nulls = 0;
+  small.launch_n(kBlocks, [&](ThreadCtx& t) {
+    if (mgr->malloc(t, 16) == nullptr) t.atomic_add(&nulls, 1u);
+  });
+  ASSERT_EQ(nulls, 0u);
+  EXPECT_EQ(mgr->live_count(), kBlocks);
+  const auto report = mgr->drain_report(/*leaks_are_errors=*/true);
+  EXPECT_EQ(report.count(ErrorKind::kLeak), kBlocks) << report.to_string();
+  EXPECT_EQ(report.total(), kBlocks) << report.to_string();
+  EXPECT_EQ(report.live_allocations, kBlocks);
+  ASSERT_FALSE(report.records.empty());
+  for (std::size_t i = 1; i < report.records.size(); ++i) {
+    EXPECT_LT(report.records[i - 1].offset, report.records[i].offset);
+  }
+}
+
+TEST(ValidatingManager, AuditCatchesDamagedHeaders) {
+  // The front redzone's header is the only record of a live block: {magic
+  // u32, rank u32, size u64, two canary words}. Damage to either field must
+  // fail the audit, and a size past the heap must never be followed.
+  Device small(16u << 20, GpuConfig{.num_sms = 1});
+  auto mgr = make_validated(small, 8u << 20, "Atomic");
+  std::byte* blocks[2] = {};
+  small.launch(1, 2, [&](ThreadCtx& t) {
+    blocks[t.lane_id()] = static_cast<std::byte*>(mgr->malloc(t, 64));
+  });
+  ASSERT_NE(blocks[0], nullptr);
+  ASSERT_NE(blocks[1], nullptr);
+  ASSERT_TRUE(mgr->audit().ok);
+
+  std::byte* magic = blocks[0] - ValidatingManager::kFrontBytes;
+  std::uint32_t saved = 0;
+  std::memcpy(&saved, magic, sizeof saved);
+  const std::uint32_t stomped = 0;
+  std::memcpy(magic, &stomped, sizeof stomped);
+  auto audit = mgr->audit();
+  EXPECT_FALSE(audit.ok);
+  EXPECT_EQ(audit.failures, 1u);
+  EXPECT_NE(audit.detail.find("magic"), std::string::npos) << audit.detail;
+  std::memcpy(magic, &saved, sizeof saved);
+  ASSERT_TRUE(mgr->audit().ok);
+
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(blocks[1] - ValidatingManager::kFrontBytes + 8, &huge,
+              sizeof huge);
+  audit = mgr->audit();
+  EXPECT_FALSE(audit.ok);
+  EXPECT_EQ(audit.failures, 1u);
+  EXPECT_NE(audit.detail.find("past the inner heap"), std::string::npos)
+      << audit.detail;
+  const auto report = mgr->drain_report(/*leaks_are_errors=*/false);
+  EXPECT_EQ(report.count(ErrorKind::kRedzone), 1u) << report.to_string();
+  EXPECT_EQ(report.total(), 1u) << report.to_string();
+  EXPECT_EQ(report.live_allocations, 2u);
+  ASSERT_EQ(report.records.size(), 1u);
+  EXPECT_EQ(report.records[0].size, huge);
+  EXPECT_EQ(report.records[0].offset,
+            static_cast<std::uint64_t>(blocks[1] - small.arena().data()));
 }
 
 // ---- property test: every general-purpose allocator survives a seeded
