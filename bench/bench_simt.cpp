@@ -1,7 +1,11 @@
 // Simulator performance baseline: times the SIMT engine itself (not the
 // allocators). Emits the human table plus BENCH_simt.json, the repo's
 // recorded perf trajectory: reruns after engine changes compare each case's
-// `ms` and the sweep's speedup over the seed anchor (DESIGN.md §7).
+// `ms` and the sweep's speedup over the seed anchor (DESIGN.md §7). Each
+// engine case also records the exact scheduler counters of its timed
+// launches (lane_switches, collectives, block_barriers, backoffs): no case
+// shares state across blocks, so they repeat at any SM count and CI
+// compares them with the committed file.
 //
 // Cases:
 //   launch_floor          empty launches — fixed per-launch overhead
@@ -16,6 +20,7 @@
 #include <chrono>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,86 +46,91 @@ gpu::GpuConfig engine_cfg(const bench::BenchArgs& args) {
   return gpu::GpuConfig{.num_sms = args.num_sms, .lane_stack_bytes = 32 * 1024};
 }
 
-// ---- engine microbenches (no allocator involved) ------------------------
+/// One timed case run: its wall time and, for engine cases, the summed
+/// counters of its timed launches.
+struct Run {
+  double ms = 0.0;
+  std::optional<gpu::StatsCounters> counters;
+};
 
-double bench_launch_floor(const bench::BenchArgs& args) {
+/// Times `launches` launches of two 256-lane blocks per SM on one fresh
+/// device, summing their counters.
+template <typename Kernel>
+Run time_launches(const bench::BenchArgs& args, const Kernel& kernel,
+                  unsigned launches = 1) {
   gpu::Device dev(1u << 20, engine_cfg(args));
-  constexpr unsigned kLaunches = 256;
-  return time_ms([&] {
-    for (unsigned i = 0; i < kLaunches; ++i) {
-      dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx&) {});
+  gpu::StatsCounters counters;
+  const double ms = time_ms([&] {
+    for (unsigned i = 0; i < launches; ++i) {
+      counters += dev.launch(args.num_sms * 2, 256, kernel).counters;
     }
   });
+  return {ms, counters};
 }
 
-double bench_lane_switch(const bench::BenchArgs& args) {
-  gpu::Device dev(1u << 20, engine_cfg(args));
-  return time_ms([&] {
-    auto stats = dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx& ctx) {
-      for (unsigned i = 0; i < 32; ++i) ctx.backoff();
-    });
-    g_sink += stats.counters.lane_switches;
+// ---- engine microbenches (no allocator involved) ------------------------
+
+Run bench_launch_floor(const bench::BenchArgs& args) {
+  return time_launches(args, [](gpu::ThreadCtx&) {}, 256);
+}
+
+Run bench_lane_switch(const bench::BenchArgs& args) {
+  return time_launches(args, [](gpu::ThreadCtx& ctx) {
+    for (unsigned i = 0; i < 32; ++i) ctx.backoff();
   });
 }
 
-double bench_collective_convergent(const bench::BenchArgs& args) {
-  gpu::Device dev(1u << 20, engine_cfg(args));
-  return time_ms([&] {
-    dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx& ctx) {
-      std::uint64_t acc = 0;
+Run bench_collective_convergent(const bench::BenchArgs& args) {
+  return time_launches(args, [](gpu::ThreadCtx& ctx) {
+    std::uint64_t acc = 0;
+    for (unsigned i = 0; i < 64; ++i) {
+      acc += ctx.reduce_add(std::uint64_t{1});
+    }
+    g_sink.fetch_add(acc, std::memory_order_relaxed);
+  });
+}
+
+Run bench_collective_divergent(const bench::BenchArgs& args) {
+  return time_launches(args, [](gpu::ThreadCtx& ctx) {
+    std::uint64_t acc = 0;
+    // Half-warp branch: two coalesced groups per warp must assemble per
+    // iteration, the worst case for group-formation bookkeeping.
+    if (ctx.lane_id() < gpu::kWarpSize / 2) {
       for (unsigned i = 0; i < 64; ++i) {
         acc += ctx.reduce_add(std::uint64_t{1});
       }
-      g_sink.fetch_add(acc, std::memory_order_relaxed);
-    });
-  });
-}
-
-double bench_collective_divergent(const bench::BenchArgs& args) {
-  gpu::Device dev(1u << 20, engine_cfg(args));
-  return time_ms([&] {
-    dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx& ctx) {
-      std::uint64_t acc = 0;
-      // Half-warp branch: two coalesced groups per warp must assemble per
-      // iteration, the worst case for group-formation bookkeeping.
-      if (ctx.lane_id() < gpu::kWarpSize / 2) {
-        for (unsigned i = 0; i < 64; ++i) {
-          acc += ctx.reduce_add(std::uint64_t{1});
-        }
-      } else {
-        for (unsigned i = 0; i < 64; ++i) {
-          acc += ctx.reduce_add(std::uint64_t{2});
-        }
+    } else {
+      for (unsigned i = 0; i < 64; ++i) {
+        acc += ctx.reduce_add(std::uint64_t{2});
       }
-      g_sink.fetch_add(acc, std::memory_order_relaxed);
-    });
+    }
+    g_sink.fetch_add(acc, std::memory_order_relaxed);
   });
 }
 
-double bench_barrier(const bench::BenchArgs& args) {
-  gpu::Device dev(1u << 20, engine_cfg(args));
-  return time_ms([&] {
-    dev.launch(args.num_sms * 2, 256, [](gpu::ThreadCtx& ctx) {
-      for (unsigned i = 0; i < 64; ++i) ctx.sync_block();
-    });
+Run bench_barrier(const bench::BenchArgs& args) {
+  return time_launches(args, [](gpu::ThreadCtx& ctx) {
+    for (unsigned i = 0; i < 64; ++i) ctx.sync_block();
   });
 }
 
 // ---- the headline: bench_table1's validated 10k-alloc sweep -------------
 
-double bench_alloc_sweep(const bench::BenchArgs& args) {
-  return time_ms([&] {
+Run bench_alloc_sweep(const bench::BenchArgs& args) {
+  // No counters: the managers' shared state makes them follow how the SMs
+  // interleave.
+  return {time_ms([&] {
     // Timeouts/crashes count against the sweep's wall clock like any other
     // outcome; the stability verdict itself is bench_table1's job.
     for (const auto& name : args.allocators) {
       (void)bench::measure_stability(args, name, 10'000);
     }
-  });
+  }), std::nullopt};
 }
 
 struct Case {
   std::string name;
-  double (*run)(const bench::BenchArgs&);
+  Run (*run)(const bench::BenchArgs&);
   /// Run once untimed first. A process's first devices fault in fresh
   /// lane-stack pages that later devices reuse, which can double a short
   /// engine case; the seconds-long sweep is timed cold, like its anchor.
@@ -128,14 +138,14 @@ struct Case {
 };
 
 void write_json(const std::string& path, const bench::BenchArgs& args,
-                const std::vector<Case>& cases, const std::vector<double>& ms) {
+                const std::vector<Case>& cases, const std::vector<Run>& runs) {
   // Trajectory anchor: the same sweep (bench_table1 --measure-stability
   // --threads 10000 --iters 4, the 17 allocators of selector
   // o+s+h+c+r+x+a+f+b, 8 SMs) measured at the seed commit, before the
   // bitmask scheduler and the zero-fill-on-demand arena landed. Compare
   // only runs over that same population.
   constexpr double kSeedSweepMs = 5075.0;
-  const double sweep_ms = ms.back();
+  const double sweep_ms = runs.back().ms;
   core::BenchJson json("simt");
   json.meta()
       .num("num_sms", args.num_sms)
@@ -149,7 +159,14 @@ void write_json(const std::string& path, const bench::BenchArgs& args,
                     sweep_ms > 0 ? kSeedSweepMs / sweep_ms : 0)
                .render());
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    json.add_case().str("name", cases[i].name).num("ms", ms[i]);
+    auto& row =
+        json.add_case().str("name", cases[i].name).num("ms", runs[i].ms);
+    if (const auto& c = runs[i].counters) {
+      row.num("lane_switches", c->lane_switches)
+          .num("collectives", c->collectives)
+          .num("block_barriers", c->block_barriers)
+          .num("backoffs", c->backoffs);
+    }
   }
   json.write(path);
 }
@@ -169,15 +186,15 @@ int main(int argc, char** argv) {
   };
 
   core::ResultTable table({"case", "ms"});
-  std::vector<double> ms;
+  std::vector<Run> runs;
   for (const auto& c : cases) {
     if (c.warm_up) (void)c.run(args);
-    ms.push_back(c.run(args));
-    table.add_row({c.name, core::ResultTable::fmt_ms(ms.back())});
+    runs.push_back(c.run(args));
+    table.add_row({c.name, core::ResultTable::fmt_ms(runs.back().ms)});
   }
 
   bench::emit(table, args, "SIMT engine");
   write_json(args.json.empty() ? "BENCH_simt.json" : args.json, args, cases,
-             ms);
+             runs);
   return 0;
 }

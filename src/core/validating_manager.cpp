@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <thread>
 
 #include "core/stack_spec.h"
 
@@ -18,6 +19,19 @@ constexpr std::uint32_t kLive = 0xA110C8EDu;
 constexpr std::uint32_t kFreed = 0xDEADF4EEu;
 
 constexpr std::size_t kGranule = 8;  ///< heap bytes per bitmap bit
+
+/// A warp span word: start-bitmap words [lo, end) in bits 0-31 and 32-62
+/// (end 0: empty, so a zeroed carve reads as all spans empty), and bit 63
+/// set while a warp_free_all walks the span.
+constexpr std::uint64_t kSpanWalking = std::uint64_t{1} << 63;
+
+constexpr std::uint64_t span_with(std::uint64_t span, std::uint64_t word) {
+  const std::uint64_t lo = span & 0xFFFFFFFFu;
+  const std::uint64_t end = (span >> 32) & 0x7FFFFFFFu;
+  const std::uint64_t walking = span & kSpanWalking;
+  if (end == 0) return walking | ((word + 1) << 32) | word;
+  return walking | (std::max(end, word + 1) << 32) | std::min(lo, word);
+}
 
 /// SplitMix64 finalizer — the canary generator.
 constexpr std::uint64_t mix64(std::uint64_t x) {
@@ -48,12 +62,13 @@ ValidatingManager::ValidatingManager(gpu::Device& dev, std::size_t heap_bytes,
   const auto t0 = std::chrono::steady_clock::now();
   heap_base_ = dev.arena().data();
 
-  // Tail carve: ~1/8th of the slice holds the shadow and start bitmaps; the
-  // inner manager governs the untouched prefix so its own carving still
-  // starts at arena offset 0. The bitmaps fill 1/32 of the inner heap and
-  // the rest of the carve is never touched, so it costs no page; shrinking
-  // the carve would move every +V inner heap, and with it the committed
-  // corpus verdicts and replay oracles.
+  // Tail carve: ~1/8th of the slice holds the shadow and start bitmaps and
+  // the warp spans; the inner manager governs the untouched prefix so its
+  // own carving still starts at arena offset 0. The bitmaps fill 1/32 of the
+  // inner heap, the spans take one word per warp that allocates, and the
+  // rest of the carve is never touched, so it costs no page; shrinking the
+  // carve would move every +V inner heap, and with it the committed corpus
+  // verdicts and replay oracles.
   const std::size_t meta_bytes =
       std::max<std::size_t>(heap_bytes / 8, std::size_t{16} * 1024);
   assert(heap_bytes > 2 * meta_bytes && "heap too small to validate");
@@ -63,8 +78,11 @@ ValidatingManager::ValidatingManager(gpu::Device& dev, std::size_t heap_bytes,
   bitmap_words_ = (inner_heap_bytes_ / kGranule + 63) / 64;
   shadow_ = reinterpret_cast<std::uint64_t*>(heap_base_ + inner_heap_bytes_);
   starts_ = shadow_ + bitmap_words_;
-  assert(2 * bitmap_words_ * sizeof(std::uint64_t) <=
-         heap_bytes - inner_heap_bytes_);
+  spans_ = starts_ + bitmap_words_;
+  const std::size_t carve_words =
+      (heap_bytes - inner_heap_bytes_) / sizeof(std::uint64_t);
+  assert(2 * bitmap_words_ < carve_words && bitmap_words_ < (1u << 31));
+  span_mask_ = std::bit_floor(carve_words - 2 * bitmap_words_) - 1;
 
   inner_ = make_inner(dev, inner_heap_bytes_);
   name_ = std::string(inner_->traits().name);
@@ -128,8 +146,9 @@ void ValidatingManager::shadow_clear(std::size_t off, std::size_t len) {
 }
 
 template <typename Fn>
-void ValidatingManager::for_each_start(Fn&& fn) const {
-  for (std::size_t w = 0; w < bitmap_words_; ++w) {
+void ValidatingManager::for_each_start(std::size_t first_word,
+                                       std::size_t end_word, Fn&& fn) const {
+  for (std::size_t w = first_word; w < end_word; ++w) {
     std::uint64_t bits = std::atomic_ref<std::uint64_t>(starts_[w])
                              .load(std::memory_order_acquire);
     while (bits != 0) {
@@ -227,7 +246,20 @@ void* ValidatingManager::wrap_allocation(gpu::ThreadCtx& ctx, std::size_t size,
   const std::uint64_t g = payload_off / kGranule;
   std::atomic_ref<std::uint64_t>(starts_[g / 64])
       .fetch_or(std::uint64_t{1} << (g % 64), std::memory_order_acq_rel);
+  widen_span(ctx.thread_rank() / gpu::kWarpSize, g / 64);
   return bytes + kFrontBytes;
+}
+
+void ValidatingManager::widen_span(std::uint32_t warp, std::uint64_t word) {
+  // Always a successful RMW, even when the span already covers `word`: a
+  // walk that takes the span later in its order then sees this block's start
+  // bit, which was set before it.
+  std::atomic_ref<std::uint64_t> span(spans_[warp & span_mask_]);
+  std::uint64_t seen = span.load(std::memory_order_relaxed);
+  while (!span.compare_exchange_weak(seen, span_with(seen, word),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_relaxed)) {
+  }
 }
 
 void* ValidatingManager::malloc(gpu::ThreadCtx& ctx, std::size_t size) {
@@ -280,20 +312,45 @@ void ValidatingManager::free(gpu::ThreadCtx& ctx, void* ptr) {
 
 void ValidatingManager::release_warp_entries(gpu::ThreadCtx& ctx,
                                              std::uint32_t warp) {
-  for_each_start([&](std::uint64_t off) {
+  // Take the span empty and marked walking: allocations of warps sharing the
+  // slot keep widening it meanwhile, and a second walk of the slot waits.
+  // The holder never yields while walking, so a waiter is always on another
+  // SM's OS thread.
+  std::atomic_ref<std::uint64_t> span(spans_[warp & span_mask_]);
+  std::uint64_t taken = span.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((taken & kSpanWalking) != 0) {
+      std::this_thread::yield();
+      taken = span.load(std::memory_order_relaxed);
+    } else if (span.compare_exchange_weak(taken, kSpanWalking,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  const std::size_t lo = taken & 0xFFFFFFFFu;
+  const std::size_t end = (taken >> 32) & 0x7FFFFFFFu;
+  for_each_start(lo, end, [&](std::uint64_t off) {
     Header* h = header_at(off);
     // Lanes of other warps may be freeing and reusing their blocks while
     // this walk runs: their headers are read atomically and claimed by the
     // magic CAS, as in free(), so no block is retired twice.
-    const std::uint32_t rank =
-        std::atomic_ref<std::uint32_t>(h->rank).load(std::memory_order_relaxed);
-    if (rank / gpu::kWarpSize != warp) return;
-    std::uint32_t seen = kLive;
-    if (std::atomic_ref<std::uint32_t>(h->magic).compare_exchange_strong(
-            seen, kFreed, std::memory_order_acq_rel)) {
-      retire(ctx, off);
+    const std::uint32_t owner =
+        std::atomic_ref<std::uint32_t>(h->rank).load(
+            std::memory_order_relaxed) / gpu::kWarpSize;
+    std::atomic_ref<std::uint32_t> magic(h->magic);
+    if (owner == warp) {
+      std::uint32_t seen = kLive;
+      if (magic.compare_exchange_strong(seen, kFreed,
+                                        std::memory_order_acq_rel)) {
+        retire(ctx, off);
+      }
+    } else if (((owner ^ warp) & span_mask_) == 0 &&
+               magic.load(std::memory_order_acquire) == kLive) {
+      widen_span(owner, off / kGranule / 64);  // a slot mate's block stays
     }
   });
+  span.fetch_and(~kSpanWalking, std::memory_order_acq_rel);
 }
 
 void ValidatingManager::warp_free_all(gpu::ThreadCtx& ctx) {
@@ -320,7 +377,7 @@ std::uint64_t ValidatingManager::live_count() const {
 AuditResult ValidatingManager::audit() {
   AuditResult result;
   result.supported = true;
-  for_each_start([&](std::uint64_t off) {
+  for_each_start(0, bitmap_words_, [&](std::uint64_t off) {
     ++result.structures_walked;
     const char* what = damage(off);
     if (what == nullptr) return;
@@ -337,7 +394,7 @@ AuditResult ValidatingManager::audit() {
 
 LaunchReport ValidatingManager::drain_report(bool leaks_are_errors) {
   std::uint64_t live = 0;
-  for_each_start([&](std::uint64_t off) {
+  for_each_start(0, bitmap_words_, [&](std::uint64_t off) {
     ++live;
     const Header* h = header_at(off);
     if (damage(off) != nullptr) {

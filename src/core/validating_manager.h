@@ -25,7 +25,10 @@ namespace gms::core {
 ///  * a start bitmap beside it (1 bit per granule, set at each live payload
 ///    start) is the live set: the end-of-run leak scan, the audit and the
 ///    host-side redzone sweeps walk its set bits in address order, and the
-///    header is the only record of each block's size and owner lane.
+///    header is the only record of each block's size and owner lane;
+///  * a warp span per slot (global warp id modulo a power of two) bounds the
+///    start-bitmap words that hold the live blocks of the warps in that
+///    slot, so warp_free_all walks its own warp's blocks, not the heap.
 ///
 /// Errors are never fatal: they are recorded into a DeviceErrorSink (per-SM
 /// rings, like StatsCounters) and drained into a LaunchReport, so a corrupting
@@ -83,9 +86,11 @@ class ValidatingManager final : public MemoryManager {
   /// any granule was already marked (overlapping allocation).
   bool shadow_mark(std::size_t off, std::size_t len);
   void shadow_clear(std::size_t off, std::size_t len);
-  /// Calls fn(payload_off) for every set start bit, in address order.
+  /// Calls fn(payload_off) for every set start bit in start-bitmap words
+  /// [first_word, end_word), in address order.
   template <typename Fn>
-  void for_each_start(Fn&& fn) const;
+  void for_each_start(std::size_t first_word, std::size_t end_word,
+                      Fn&& fn) const;
   [[nodiscard]] Header* header_at(std::uint64_t payload_off) const;
   /// True when a `size`-byte payload at `payload_off` and its rear canary
   /// end inside the inner heap.
@@ -100,6 +105,9 @@ class ValidatingManager final : public MemoryManager {
   /// Retires a block the caller just claimed (header magic CAS'd to
   /// kFreed): reports damaged redzones, clears its shadow and start bits.
   void retire(gpu::ThreadCtx& ctx, std::uint64_t payload_off);
+  /// Widens the span of `warp`'s slot to cover start-bitmap word `word`.
+  void widen_span(std::uint32_t warp, std::uint64_t word);
+  /// Retires every live block of `warp` inside its slot's span.
   void release_warp_entries(gpu::ThreadCtx& ctx, std::uint32_t warp);
 
   [[nodiscard]] std::uint64_t canary_word(std::uint64_t off,
@@ -115,6 +123,8 @@ class ValidatingManager final : public MemoryManager {
   std::uint64_t* shadow_ = nullptr;  ///< arena-backed, 1 bit / 8 bytes
   std::uint64_t* starts_ = nullptr;  ///< arena-backed, 1 bit / payload start
   std::size_t bitmap_words_ = 0;     ///< words in each bitmap
+  std::uint64_t* spans_ = nullptr;   ///< arena-backed, one word per slot
+  std::size_t span_mask_ = 0;        ///< slots - 1 (a power of two)
 };
 
 }  // namespace gms::core

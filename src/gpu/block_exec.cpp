@@ -47,14 +47,35 @@ void BlockExec::prepare(unsigned grid_dim, unsigned block_dim,
 void BlockExec::lane_entry(void* lane_erased) {
   auto* lane = static_cast<Lane*>(lane_erased);
   BlockExec* self = lane->ctx.block_;
-  try {
-    self->kernel_.invoke(self->kernel_.object, lane->ctx);
-  } catch (const CancelLane&) {
-    // Expected during watchdog cancellation: the lane unwound cleanly.
-  } catch (...) {
-    // First failure wins; lanes all run on this SM's OS thread, so no lock.
-    if (!self->kernel_error_) self->kernel_error_ = std::current_exception();
+  for (;;) {
+    try {
+      self->kernel_.invoke(self->kernel_.object, lane->ctx);
+    } catch (const CancelLane&) {
+      // Expected during watchdog cancellation: the lane unwound cleanly.
+    } catch (...) {
+      // First failure wins; lanes all run on this SM's OS thread, so no lock.
+      if (!self->kernel_error_) self->kernel_error_ = std::current_exception();
+    }
+    Lane* next = self->next_chain_lane();
+    if (next == nullptr) return;  // run_warp retires the lane
+    // The next lane of the pass starts on this stack, the one the pool's
+    // LIFO would have handed it: the chain saves its fiber reset and two
+    // stack swaps, and changes nothing else.
+    ++self->stats_.lane_switches;
+    next->fiber = std::move(lane->fiber);
+    self->retire_lane(*lane);
+    self->active_ = next;
+    lane = next;
   }
+}
+
+BlockExec::Lane* BlockExec::next_chain_lane() {
+  if (cancelling_ || pass_rest_ == 0) return nullptr;
+  Lane& next =
+      lanes_[pass_base_ + static_cast<unsigned>(std::countr_zero(pass_rest_))];
+  if (next.fiber) return nullptr;  // suspended: resumes on its own stack
+  pass_rest_ &= pass_rest_ - 1;
+  return &next;
 }
 
 void BlockExec::ensure_fiber(Lane& lane) {
@@ -182,14 +203,24 @@ bool BlockExec::run_warp(unsigned w) {
       return progress;
     }
     // One scheduling pass over the snapshot: only set bits are visited, and
-    // other lanes' bits cannot change under us (a resume only moves the
-    // resumed lane itself).
-    for (std::uint32_t m = pass; m != 0; m &= m - 1) {
-      const unsigned i = static_cast<unsigned>(std::countr_zero(m));
-      Lane& lane = lanes_[base + i];
+    // other lanes' bits cannot change under us (an activation only moves the
+    // lanes it runs). A resume activates the first lane still to visit; a
+    // lane that returns chains into the next unstarted one (lane_entry),
+    // so the activation may end on a later lane of the pass.
+    pass_base_ = base;
+    pass_rest_ = pass;
+    while (pass_rest_ != 0) {
+      Lane& first = lanes_[base + static_cast<unsigned>(
+                                      std::countr_zero(pass_rest_))];
+      pass_rest_ &= pass_rest_ - 1;
       ++stats_.lane_switches;
-      ensure_fiber(lane);
-      if (lane.fiber->resume()) {
+      ensure_fiber(first);
+      active_ = &first;
+      const bool finished = first.fiber->resume();
+      Lane& lane = *active_;  // the lane that ended the activation
+      const unsigned i = lane.ctx.lane_;
+      progress |= &lane != &first;  // the chain retired the lanes before it
+      if (finished) {
         retire_lane(lane);
         progress = true;
       } else if ((ws.parked >> i) & 1u) {

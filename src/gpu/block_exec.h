@@ -29,9 +29,12 @@ struct KernelRef {
 /// One BlockExec lives per SM worker and is reused across blocks. Scheduling
 /// is driven by per-warp ready/parked/barrier bitmasks: a pass visits only
 /// set bits, skips idle warps in O(1) and resolves collectives by mask
-/// intersection, and lane stacks are drawn lazily from a per-SM pool. The
-/// resume order is part of the contract: test_simt pins the counters it
-/// yields (lane switches, collectives, barriers, stacks created) exactly.
+/// intersection, and lane stacks are drawn lazily from a per-SM pool. A
+/// lane that returns hands its stack to the next unstarted lane of the same
+/// pass, so a run-to-completion block costs one stack activation per chain,
+/// not one per lane. The resume order is part of the contract: test_simt
+/// pins the counters it yields (lane activations, collectives, barriers,
+/// stacks created) exactly.
 class BlockExec {
  public:
   /// `cancel` (optional) is the device-wide cancellation flag polled between
@@ -89,7 +92,13 @@ class BlockExec {
   };
 
   friend class ThreadCtx;
+  /// Fiber body: runs the lane's kernel, then chains into the next
+  /// unstarted lane of the pass for as long as next_chain_lane() finds one.
   static void lane_entry(void* lane_erased);
+  /// Takes the next lane of the current pass if it has not started yet.
+  /// nullptr at the end of the pass, at a lane that holds a suspended fiber
+  /// and while unwind_lanes is cancelling.
+  Lane* next_chain_lane();
 
   /// Gives every runnable lane of warp `w` time slices until only spinners or
   /// parked lanes remain; resolves warp collectives as groups assemble.
@@ -148,6 +157,9 @@ class BlockExec {
   const std::atomic<LaunchObserver*>* observer_ = nullptr;
   unsigned current_block_ = 0;  ///< block run_block is executing (markers)
   bool cancelling_ = false;
+  unsigned pass_base_ = 0;      ///< first lane index of the passing warp
+  std::uint32_t pass_rest_ = 0;  ///< lanes of the pass not yet activated
+  Lane* active_ = nullptr;       ///< lane running on the resumed fiber
 
   KernelRef kernel_{};
   unsigned grid_dim_ = 0;

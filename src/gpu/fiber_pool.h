@@ -14,11 +14,14 @@ namespace gms::gpu {
 /// fiber (64 KiB default — 64 MiB for a 1024-lane block, all touched by the
 /// watermark fill). Most kernels never need that: a lane only keeps a stack
 /// while it is suspended mid-body, and a kernel without collectives, barriers
-/// or backoffs runs each lane to completion on its first resume, so one
-/// stack serves the whole block. The pool hands out stacks on a lane's first
-/// resume and takes them back when the lane retires, so the pool's size
-/// converges to the high-water mark of *concurrently suspended* lanes — the
-/// launch configuration's true stack demand.
+/// or backoffs runs each lane to completion on its first activation, after
+/// which BlockExec starts the pass's next unstarted lane on the same stack.
+/// A run-to-completion block thus costs one stack activation per chain, not
+/// one per lane, and one stack serves the whole block. The pool hands out a
+/// stack to the lane that starts a chain and takes it back when the lane
+/// holding it at the chain's end retires, so the pool's size converges to
+/// the high-water mark of *concurrently suspended* lanes — the launch
+/// configuration's true stack demand.
 class FiberPool {
  public:
   explicit FiberPool(std::size_t stack_bytes) : stack_bytes_(stack_bytes) {}

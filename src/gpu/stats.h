@@ -36,7 +36,11 @@ struct StatsCounters {
   std::uint64_t atomic_load = 0;
   std::uint64_t atomic_store = 0;
   std::uint64_t collectives = 0;      ///< warp collective operations resolved
-  std::uint64_t lane_switches = 0;    ///< fiber resume count
+  /// Lane activations: one each time a lane starts or resumes. Not fiber
+  /// resumes: lanes that run to completion chain on one stack, so a
+  /// run-to-completion block costs one stack activation per chain, while
+  /// this counter still counts every lane.
+  std::uint64_t lane_switches = 0;
   std::uint64_t backoffs = 0;         ///< ThreadCtx::backoff() calls
   std::uint64_t block_barriers = 0;   ///< block-wide barrier releases
   std::uint64_t os_yields = 0;        ///< SM gave up its OS thread slice
@@ -63,8 +67,8 @@ struct StatsCounters {
 };
 
 /// One SM's counters, padded to a cache line: the scheduler bumps
-/// lane_switches on every fiber resume, and without the padding two adjacent
-/// SMs write-share one line and pay a coherence miss per switch.
+/// lane_switches on every lane activation, and without the padding two
+/// adjacent SMs write-share one line and pay a coherence miss per switch.
 struct alignas(kDestructiveInterferenceSize) SmStatsSlot {
   StatsCounters counters;
 };

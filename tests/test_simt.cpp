@@ -439,10 +439,81 @@ TEST(Simt, ReduceBarrierKernelCounters) {
 
 TEST(Simt, RunToCompletionPoolsStacks) {
   // A kernel with no suspension points runs each lane to completion on its
-  // first resume, so one pooled stack serves the whole block.
+  // first activation and chains into the next lane of the pass on the same
+  // stack: the block costs one stack activation per chain, not one per lane,
+  // and one pooled stack serves the whole block.
   Device local(1u << 20, GpuConfig{.num_sms = 4});
   const auto stats = local.launch(1, 256, [](ThreadCtx&) {});
   EXPECT_EQ(stats.counters.fibers_created, 1u);
+}
+
+TEST(Simt, ChainedLanesKeepResumeOrder) {
+  // One 96-lane block at 1 SM. Per warp, lanes with lane_id % 3 == 0 return
+  // at once, == 1 park at a ballot, == 2 back off twice and return. The
+  // host-side log pins the order in which lanes start and end; the counters
+  // pin how many activations and stacks that order takes.
+  Device local(1u << 20, GpuConfig{.num_sms = 1});
+  std::vector<unsigned> log;  // rank * 2, + 1 for the lane's end
+  const auto stats = local.launch(1, 96, [&](ThreadCtx& t) {
+    log.push_back(t.thread_rank() * 2);
+    if (t.lane_id() % 3 == 1) {
+      (void)t.ballot(true);
+    } else if (t.lane_id() % 3 == 2) {
+      t.backoff();
+      t.backoff();
+    }
+    log.push_back(t.thread_rank() * 2 + 1);
+  });
+  std::vector<unsigned> expect;
+  for (unsigned base = 0; base < 96; base += kWarpSize) {
+    // The first pass starts every lane of the warp; returning lanes end.
+    for (unsigned l = 0; l < kWarpSize; ++l) {
+      expect.push_back((base + l) * 2);
+      if (l % 3 == 0) expect.push_back((base + l) * 2 + 1);
+    }
+    // Backoff lanes end on their third activation, two passes later; then
+    // the ballot resolves and its lanes end.
+    for (unsigned l = 2; l < kWarpSize; l += 3) {
+      expect.push_back((base + l) * 2 + 1);
+    }
+    for (unsigned l = 1; l < kWarpSize; l += 3) {
+      expect.push_back((base + l) * 2 + 1);
+    }
+  }
+  EXPECT_EQ(log, expect);
+  // Per warp: 32 starts, 2 x 10 backoff resumes, 11 ballot releases. A
+  // returning lane's stack serves the ballot lane after it, so each warp
+  // holds 11 + 10 stacks at its peak.
+  EXPECT_EQ(stats.counters.lane_switches, 189u);
+  EXPECT_EQ(stats.counters.fibers_created, 21u);
+}
+
+TEST(Simt, ChainedLaneErrorIsRethrown) {
+  // Lane 5 of a run-to-completion block throws: the launch rethrows that
+  // error after every other lane ran exactly once, and the device runs the
+  // next launch clean.
+  Device local(1u << 20, GpuConfig{.num_sms = 1});
+  std::vector<std::uint32_t> runs(256, 0);
+  std::string what;
+  try {
+    local.launch(1, 256, [&](ThreadCtx& t) {
+      ++runs[t.thread_rank()];
+      if (t.thread_rank() == 5) throw std::runtime_error{"lane 5"};
+    });
+    FAIL() << "expected the lane's error";
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "lane 5");
+  EXPECT_TRUE(std::all_of(runs.begin(), runs.end(),
+                          [](std::uint32_t r) { return r == 1; }));
+  std::uint32_t count = 0;
+  const auto stats = local.launch(1, 256, [&](ThreadCtx& t) {
+    t.atomic_add(&count, 1u);
+  });
+  EXPECT_EQ(count, 256u);
+  EXPECT_EQ(stats.counters.lane_switches, 256u);
+  EXPECT_EQ(stats.counters.fibers_created, 0u);
 }
 
 TEST(Simt, WatchdogDiagnosis) {

@@ -384,6 +384,51 @@ TEST(ValidatingManager, AuditCatchesDamagedHeaders) {
             static_cast<std::uint64_t>(blocks[1] - small.arena().data()));
 }
 
+TEST(ValidatingManager, WarpFreeAllRetiresOnlyItsWarp) {
+  // Warps 0, 1 and 1,024 take turns at the Atomic bump pointer, so their
+  // blocks interleave in address order. A 64 KiB heap leaves room for at
+  // most 1,024 warp spans, so warps 0 and 1,024 share one. Each
+  // warp_free_all retires exactly the calling warp's blocks; the others
+  // still audit clean, and a repeated call retires none.
+  Device small(1u << 20, GpuConfig{.num_sms = 1});
+  auto mgr = make_validated(small, 64u << 10, "Atomic");
+  constexpr unsigned kWarps[3] = {0, 1, 1024};
+  constexpr unsigned kGrid = 33, kBlock = 1024;  // ranks up to warp 1,055
+  std::vector<std::byte*> blocks;
+  for (unsigned k = 0; k < 9; ++k) {
+    small.launch(kGrid, kBlock, [&](ThreadCtx& t) {
+      if (t.thread_rank() == kWarps[k % 3] * gpu::kWarpSize) {
+        blocks.push_back(static_cast<std::byte*>(mgr->malloc(t, 48)));
+      }
+    });
+  }
+  ASSERT_EQ(blocks.size(), 9u);
+  for (std::size_t i = 1; i < blocks.size(); ++i) {
+    ASSERT_LT(blocks[i - 1], blocks[i]);
+  }
+  const auto free_warp = [&](unsigned warp) {
+    small.launch(kGrid, kBlock, [&](ThreadCtx& t) {
+      if (t.thread_rank() / gpu::kWarpSize == warp) mgr->warp_free_all(t);
+    });
+  };
+  free_warp(0);
+  EXPECT_EQ(mgr->live_count(), 6u);
+  EXPECT_TRUE(mgr->audit().ok);
+  free_warp(0);
+  EXPECT_EQ(mgr->live_count(), 6u);
+  free_warp(1024);
+  EXPECT_EQ(mgr->live_count(), 3u);
+  EXPECT_TRUE(mgr->audit().ok);
+  // What is left is exactly warp 1's: each block frees once, cleanly.
+  small.launch(1, 64, [&](ThreadCtx& t) {
+    if (t.thread_rank() != gpu::kWarpSize) return;
+    for (std::size_t i = 1; i < blocks.size(); i += 3) mgr->free(t, blocks[i]);
+  });
+  EXPECT_EQ(mgr->live_count(), 0u);
+  const auto report = mgr->drain_report(/*leaks_are_errors=*/true);
+  EXPECT_EQ(report.total(), 0u) << report.to_string();
+}
+
 // ---- property test: every general-purpose allocator survives a seeded
 // ---- alloc/free churn under fault injection with a clean validation report
 
