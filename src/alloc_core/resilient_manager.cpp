@@ -108,7 +108,11 @@ void* ResilientManager::recovering_malloc(gpu::ThreadCtx& ctx,
       retry_successes_.fetch_add(1, std::memory_order_relaxed);
       trace::mark(sink_, ctx, trace::EventKind::kRetrySuccess, size, attempt);
     }
-    s.consecutive.store(0, std::memory_order_relaxed);
+    // Store only when there is a streak to end: the site's line is read by
+    // every SM, and an unconditional store would bounce it on each success.
+    if (s.consecutive.load(std::memory_order_relaxed) != 0) {
+      s.consecutive.store(0, std::memory_order_relaxed);
+    }
     if (s.open.load(std::memory_order_relaxed) != 0 &&
         s.open.exchange(0, std::memory_order_acq_rel) != 0) {
       breaker_resets_.fetch_add(1, std::memory_order_relaxed);

@@ -1,6 +1,7 @@
 #include "allocators/scatter_alloc.h"
 
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <string>
 
@@ -78,8 +79,20 @@ const core::ConfigSchema<ScatterAlloc::Config>& ScatterAlloc::config_schema() {
 
 ScatterAlloc::ScatterAlloc(gpu::Device& dev, std::size_t heap_bytes,
                            Config cfg)
-    : cfg_(cfg) {
+    : cfg_(config_schema().parse(config_schema().serialize(cfg), cfg)) {
   core::Stopwatch timer;
+  // cfg_ has passed the schema's checks even when built in code, so the
+  // geometry is all powers of two: the per-call paths shift and mask.
+  page_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.page_size));
+  page_mask_ = cfg_.page_size - 1;
+  sb_shift_ =
+      static_cast<unsigned>(std::countr_zero(cfg_.pages_per_superblock));
+  sb_mask_ = cfg_.pages_per_superblock - 1;
+  region_shift_ =
+      static_cast<unsigned>(std::countr_zero(cfg_.pages_per_region));
+  probes_ = std::min(cfg_.probe_limit, cfg_.pages_per_superblock);
+  hier_below_ = static_cast<std::uint32_t>(
+      std::max<std::size_t>(128, cfg_.page_size / 32));
   const std::size_t sb_bytes = cfg_.page_size * cfg_.pages_per_superblock;
   // Leave ~2% headroom for metadata when sizing the super block count.
   num_superblocks_ = (heap_bytes - heap_bytes / 50) / sb_bytes;
@@ -107,8 +120,8 @@ ScatterAlloc::ScatterAlloc(gpu::Device& dev, std::size_t heap_bytes,
   std::size_t rest = 0;
   pages_ = carver.take_rest(rest, cfg_.page_size, "pages");
   // Trim super blocks the metadata left no room for: the chunk region first,
-  // down to its last super block (malloc_chunk takes it as a modulus), then
-  // the multi-page region, whose requests then get nullptr.
+  // down to its last super block (malloc_chunk wraps over it), then the
+  // multi-page region, whose requests then get nullptr.
   while (num_pages_ * cfg_.page_size > rest) {
     if (num_superblocks_ == 1) {
       throw core::ConfigError(
@@ -121,6 +134,7 @@ ScatterAlloc::ScatterAlloc(gpu::Device& dev, std::size_t heap_bytes,
     if (chunk_superblocks_ > 1) --chunk_superblocks_;
     num_pages_ -= cfg_.pages_per_superblock;
   }
+  chunk_pages_ = chunk_superblocks_ << sb_shift_;
   init_ms_ = timer.elapsed_ms();
 }
 
@@ -133,9 +147,7 @@ core::AuditResult ScatterAlloc::audit() {
     ++result.failures;
     if (result.detail.empty()) result.detail = std::move(what);
   };
-  const std::size_t chunk_pages =
-      chunk_superblocks_ * cfg_.pages_per_superblock;
-  for (std::size_t page = 0; page < chunk_pages; ++page) {
+  for (std::size_t page = 0; page < chunk_pages_; ++page) {
     ++result.structures_walked;
     const std::uint64_t state =
         std::atomic_ref<std::uint64_t>(page_state_[page])
@@ -161,7 +173,7 @@ core::AuditResult ScatterAlloc::audit() {
            std::to_string(page_capacity(chunk)));
     }
   }
-  for (std::size_t page = chunk_pages; page < num_pages_; ++page) {
+  for (std::size_t page = chunk_pages_; page < num_pages_; ++page) {
     ++result.structures_walked;
     const std::uint32_t k = std::atomic_ref<std::uint32_t>(multi_count_[page])
                                 .load(std::memory_order_acquire);
@@ -197,13 +209,14 @@ std::uint32_t ScatterAlloc::page_capacity(std::uint32_t chunk) const {
 std::uint32_t* ScatterAlloc::usage_words(std::size_t page,
                                          std::uint32_t chunk) {
   if (hierarchical(chunk)) {
-    return reinterpret_cast<std::uint32_t*>(pages_ + page * cfg_.page_size);
+    return reinterpret_cast<std::uint32_t*>(pages_ + (page << page_shift_));
   }
   return &page_bitfield_[page];
 }
 
 std::byte* ScatterAlloc::chunk_base(std::size_t page, std::uint32_t chunk) {
-  return pages_ + page * cfg_.page_size + (hierarchical(chunk) ? kHierBytes : 0);
+  return pages_ + (page << page_shift_) +
+         (hierarchical(chunk) ? kHierBytes : 0);
 }
 
 std::uint32_t ScatterAlloc::page_chunk_size(std::size_t page) const {
@@ -214,14 +227,13 @@ std::uint32_t ScatterAlloc::page_count(std::size_t page) const {
 }
 
 void* ScatterAlloc::claim_fresh_page(gpu::ThreadCtx& ctx, std::size_t page,
-                                     std::uint32_t chunk) {
+                                     std::uint32_t chunk, std::uint32_t cap) {
   const std::uint64_t claimed = make_state(chunk, 1) | kInitFlag;
   if (ctx.atomic_cas(&page_state_[page], std::uint64_t{0}, claimed) != 0) {
     return nullptr;  // somebody else claimed it first
   }
   // We own the page exclusively while the init flag is set: lay out the
   // usage hierarchy and take chunk 0 for ourselves.
-  const std::uint32_t cap = page_capacity(chunk);
   if (hierarchical(chunk)) {
     auto* words = usage_words(page, chunk);
     const std::uint32_t groups = (cap + 31) / 32;
@@ -244,14 +256,13 @@ void* ScatterAlloc::claim_fresh_page(gpu::ThreadCtx& ctx, std::size_t page,
   // Publish: drop the init flag so other lanes may join the page.
   ctx.atomic_and(&page_state_[page], ~kInitFlag);
   if (cap == 1) {
-    ctx.atomic_add(&region_full_[page / cfg_.pages_per_region], 1u);
+    ctx.atomic_add(&region_full_[page >> region_shift_], 1u);
   }
   return chunk_base(page, chunk);
 }
 
 void* ScatterAlloc::try_alloc_on_page(gpu::ThreadCtx& ctx, std::size_t page,
-                                      std::uint32_t chunk) {
-  const std::uint32_t cap = page_capacity(chunk);
+                                      std::uint32_t chunk, std::uint32_t cap) {
   // Reserve a slot first; the reservation guarantees a free bit exists.
   const std::uint64_t prev = ctx.atomic_add(&page_state_[page], std::uint64_t{1});
   if (state_chunk(prev) != chunk || (prev & kInitFlag) != 0 ||
@@ -260,7 +271,7 @@ void* ScatterAlloc::try_alloc_on_page(gpu::ThreadCtx& ctx, std::size_t page,
     return nullptr;
   }
   if (state_count(prev) + 1 == cap) {
-    ctx.atomic_add(&region_full_[page / cfg_.pages_per_region], 1u);
+    ctx.atomic_add(&region_full_[page >> region_shift_], 1u);
   }
 
   // Scatter the bit search start per thread to avoid bit-level collisions.
@@ -327,42 +338,43 @@ void* ScatterAlloc::try_alloc_on_page(gpu::ThreadCtx& ctx, std::size_t page,
 }
 
 void* ScatterAlloc::malloc_chunk(gpu::ThreadCtx& ctx, std::uint32_t chunk) {
-  const std::size_t pages_per_sb = cfg_.pages_per_superblock;
-  const std::size_t start_sb = ctx.atomic_load(active_sb_) % chunk_superblocks_;
+  const std::uint32_t cap = page_capacity(chunk);
+  // Fig. 2: p = (size * k_S + mp * k_mp [+ warp * k_w]) mod pages/SB.
+  const std::size_t p0 = (chunk * kSizeFactor + ctx.smid() * kSmFactor +
+                          ctx.global_warp_id() * kWarpFactor) &
+                         sb_mask_;
+  // The active pointer only ever holds a chunk super block's index (zero
+  // in the cleared arena, then the targets of the CAS below).
+  std::size_t sb = ctx.atomic_load(active_sb_);
   for (std::size_t sb_step = 0; sb_step < chunk_superblocks_; ++sb_step) {
-    const std::size_t sb = (start_sb + sb_step) % chunk_superblocks_;
-    // Fig. 2: p = (size * k_S + mp * k_mp [+ warp * k_w]) mod pages/SB.
-    const std::size_t p0 =
-        (chunk * kSizeFactor + ctx.smid() * kSmFactor +
-         ctx.global_warp_id() * kWarpFactor) %
-        pages_per_sb;
-    const std::size_t probes = std::min(cfg_.probe_limit, pages_per_sb);
-    for (std::size_t step = 0; step < probes; ++step) {
+    const std::size_t sb_first_page = sb << sb_shift_;
+    std::size_t page_in_sb = p0;
+    for (std::size_t step = 0; step < probes_; ++step) {
       // Strided probe: hash_stride=1 is the paper's linear walk (and the
       // byte-identical default); odd strides decluster size collisions.
-      const std::size_t page_in_sb =
-          (p0 + step * cfg_.hash_stride) % pages_per_sb;
-      const std::size_t page = sb * pages_per_sb + page_in_sb;
+      const std::size_t page = sb_first_page | page_in_sb;
+      page_in_sb = (page_in_sb + cfg_.hash_stride) & sb_mask_;
       // Region rejection: skip regions with no free chunk quickly.
-      const std::size_t region = page / cfg_.pages_per_region;
-      if (ctx.atomic_load(&region_full_[region]) >=
+      if (ctx.atomic_load(&region_full_[page >> region_shift_]) >=
           cfg_.pages_per_region) {
         continue;
       }
       const std::uint64_t state = ctx.atomic_load(&page_state_[page]);
       if (state == 0) {
-        if (void* p = claim_fresh_page(ctx, page, chunk)) return p;
+        if (void* p = claim_fresh_page(ctx, page, chunk, cap)) return p;
         continue;  // lost the claim race; examine the page's new owner later
       }
       if (state_chunk(state) == chunk && (state & kInitFlag) == 0 &&
-          state_count(state) < page_capacity(chunk)) {
-        if (void* p = try_alloc_on_page(ctx, page, chunk)) return p;
+          state_count(state) < cap) {
+        if (void* p = try_alloc_on_page(ctx, page, chunk, cap)) return p;
       }
     }
     // This super block looks exhausted for our size: advance the shared
     // active pointer (paper: next super block investigated past fill level).
+    const std::size_t next = sb + 1 == chunk_superblocks_ ? 0 : sb + 1;
     ctx.atomic_cas(active_sb_, static_cast<std::uint32_t>(sb),
-                   static_cast<std::uint32_t>((sb + 1) % chunk_superblocks_));
+                   static_cast<std::uint32_t>(next));
+    sb = next;
   }
   return nullptr;
 }
@@ -370,10 +382,9 @@ void* ScatterAlloc::malloc_chunk(gpu::ThreadCtx& ctx, std::uint32_t chunk) {
 void* ScatterAlloc::malloc_multi_page(gpu::ThreadCtx& ctx, std::size_t size) {
   // Page count is tracked in a side array, so 4/8 KiB requests fit their
   // pages exactly (no in-band header stealing a whole extra page).
-  const std::size_t k = (size + cfg_.page_size - 1) / cfg_.page_size;
+  const std::size_t k = (size + page_mask_) >> page_shift_;
   if (k > 64) return nullptr;  // runs are confined to one bitmap word
-  const std::size_t first_page = chunk_superblocks_ * cfg_.pages_per_superblock;
-  const std::size_t first_word = first_page / 64;
+  const std::size_t first_word = chunk_pages_ / 64;
   const std::size_t num_words = num_pages_ / 64;
   const std::uint32_t run_mask_bits = static_cast<std::uint32_t>(k);
   for (std::size_t w = first_word; w < num_words; ++w) {
@@ -390,7 +401,7 @@ void* ScatterAlloc::malloc_multi_page(gpu::ThreadCtx& ctx, std::size_t size) {
       if (ctx.atomic_cas(&multi_bitmap_[w], seen, seen | mask) == seen) {
         const std::size_t page = w * 64 + bit;
         ctx.atomic_store(&multi_count_[page], static_cast<std::uint32_t>(k));
-        return pages_ + page * cfg_.page_size;
+        return pages_ + (page << page_shift_);
       }
       // CAS lost: re-read and retry this word.
     }
@@ -427,15 +438,15 @@ void ScatterAlloc::free_multi_page(gpu::ThreadCtx& ctx, void* ptr,
 void ScatterAlloc::free(gpu::ThreadCtx& ctx, void* ptr) {
   if (ptr == nullptr) return;
   const std::size_t off = static_cast<std::byte*>(ptr) - pages_;
-  const std::size_t page = off / cfg_.page_size;
-  if (page >= chunk_superblocks_ * cfg_.pages_per_superblock) {
+  const std::size_t page = off >> page_shift_;
+  if (page >= chunk_pages_) {
     free_multi_page(ctx, ptr, page);
     return;
   }
   const std::uint64_t state = ctx.atomic_load(&page_state_[page]);
   const std::uint32_t chunk = state_chunk(state);
   assert(chunk != 0 && "free on an unassigned page");
-  const std::size_t in_page = off % cfg_.page_size;
+  const std::size_t in_page = off & page_mask_;
   const std::uint32_t cap = page_capacity(chunk);
 
   if (hierarchical(chunk)) {
@@ -451,7 +462,7 @@ void ScatterAlloc::free(gpu::ThreadCtx& ctx, void* ptr) {
 
   const std::uint64_t prev = ctx.atomic_sub(&page_state_[page], std::uint64_t{1});
   if (state_count(prev) == cap) {
-    ctx.atomic_sub(&region_full_[page / cfg_.pages_per_region], 1u);
+    ctx.atomic_sub(&region_full_[page >> region_shift_], 1u);
   }
   if (state_count(prev) == 1) {
     // Last chunk gone: release the page for any future chunk size. The CAS

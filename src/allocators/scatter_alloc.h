@@ -33,6 +33,7 @@ class ScatterAlloc final : public core::MemoryManager {
   /// Schema binding Config to the runtime "{k=v}" layer (scatter_alloc.cpp).
   static const core::ConfigSchema<Config>& config_schema();
 
+  /// Throws ConfigError for a `cfg` the schema refuses, however it was built.
   ScatterAlloc(gpu::Device& dev, std::size_t heap_bytes, Config cfg);
   ScatterAlloc(gpu::Device& dev, std::size_t heap_bytes)
       : ScatterAlloc(dev, heap_bytes, Config{}) {}
@@ -71,16 +72,18 @@ class ScatterAlloc final : public core::MemoryManager {
     return static_cast<std::uint32_t>(s);
   }
 
-  /// Chunks with size < 128 B need the on-page hierarchy (capacity > 32).
+  /// Chunks below hier_below_ take the on-page hierarchy: a flat page's
+  /// usage word has 32 bits, so it may hold at most 32 chunks.
   [[nodiscard]] bool hierarchical(std::uint32_t chunk) const {
-    return chunk < 128;
+    return chunk < hier_below_;
   }
   [[nodiscard]] std::uint32_t page_capacity(std::uint32_t chunk) const;
 
+  /// `cap` is page_capacity(chunk), computed once per call by the caller.
   void* try_alloc_on_page(gpu::ThreadCtx& ctx, std::size_t page,
-                          std::uint32_t chunk);
+                          std::uint32_t chunk, std::uint32_t cap);
   void* claim_fresh_page(gpu::ThreadCtx& ctx, std::size_t page,
-                         std::uint32_t chunk);
+                         std::uint32_t chunk, std::uint32_t cap);
   [[nodiscard]] std::uint32_t* usage_words(std::size_t page,
                                            std::uint32_t chunk);
   [[nodiscard]] std::byte* chunk_base(std::size_t page, std::uint32_t chunk);
@@ -93,6 +96,18 @@ class ScatterAlloc final : public core::MemoryManager {
   std::size_t num_superblocks_ = 0;
   std::size_t chunk_superblocks_ = 0;  // the rest is reserved for multi-page
   std::size_t num_pages_ = 0;
+  std::size_t chunk_pages_ = 0;  // pages of the chunk super blocks
+  // The geometry is all powers of two, so the per-call paths shift and mask
+  // instead of dividing (fixed in the constructor).
+  unsigned page_shift_ = 0;       // log2(page_size)
+  std::size_t page_mask_ = 0;     // page_size - 1
+  unsigned sb_shift_ = 0;         // log2(pages_per_superblock)
+  std::size_t sb_mask_ = 0;       // pages_per_superblock - 1
+  unsigned region_shift_ = 0;     // log2(pages_per_region)
+  std::size_t probes_ = 0;        // min(probe_limit, pages_per_superblock)
+  // max(128, page_size / 32): below 128 B always (the 4 KiB page's bound),
+  // and on larger pages every chunk of which more than 32 could fit.
+  std::uint32_t hier_below_ = 128;
 
   std::uint64_t* page_state_ = nullptr;    // one word per page
   std::uint32_t* page_bitfield_ = nullptr; // level-1 usage bits per page

@@ -42,6 +42,25 @@ void BlockExec::prepare(unsigned grid_dim, unsigned block_dim,
   // bytes this launch actually asked for (shared_bytes_), not the capacity.
   shared_bytes_ = shared_bytes;
   if (shared_mem_.size() < shared_bytes) shared_mem_.resize(shared_bytes);
+  // Everything a lane's context holds that no block changes is written once
+  // per launch; run_block writes only the per-block fields.
+  const std::span<std::byte> shared{shared_mem_.data(), shared_bytes_};
+  for (unsigned i = 0; i < block_dim; ++i) {
+    ThreadCtx& ctx = lanes_[i].ctx;
+    ctx.block_ = this;
+    ctx.stats_ = &stats_;
+    ctx.shared_ = shared;
+    ctx.block_dim_ = block_dim;
+    ctx.grid_dim_ = grid_dim;
+    ctx.lane_ = i % kWarpSize;
+    ctx.warp_in_block_ = i / kWarpSize;
+    ctx.smid_ = smid_;
+    ctx.num_sms_ = cfg_.num_sms;
+  }
+  for (unsigned w = 0; w < warps_; ++w) {
+    const unsigned n = std::min(kWarpSize, block_dim - w * kWarpSize);
+    warp_state_[w].valid = n == kWarpSize ? ~0u : (1u << n) - 1u;
+  }
 }
 
 void BlockExec::lane_entry(void* lane_erased) {
@@ -117,28 +136,18 @@ void BlockExec::run_block(unsigned block_idx) {
     std::fill_n(shared_mem_.begin(),
                 static_cast<std::ptrdiff_t>(shared_bytes_), std::byte{0});
   }
+  // The lane's collective slot is not reset: every collective entry writes
+  // the slot fields its resolution reads.
+  const unsigned first_rank = block_idx * block_dim_;
   for (unsigned i = 0; i < block_dim_; ++i) {
     Lane& lane = lanes_[i];
     lane.spin_streak = 0;
-    lane.park = ParkSlot{};
-    ThreadCtx& ctx = lane.ctx;
-    ctx.block_ = this;
-    ctx.stats_ = &stats_;
-    ctx.shared_ = {shared_mem_.data(), shared_bytes_};
-    ctx.thread_rank_ = block_idx * block_dim_ + i;
-    ctx.block_idx_ = block_idx;
-    ctx.block_dim_ = block_dim_;
-    ctx.grid_dim_ = grid_dim_;
-    ctx.lane_ = i % kWarpSize;
-    ctx.warp_in_block_ = i / kWarpSize;
-    ctx.smid_ = smid_;
-    ctx.num_sms_ = cfg_.num_sms;
-    ctx.held_locks_ = 0;
+    lane.ctx.thread_rank_ = first_rank + i;
+    lane.ctx.block_idx_ = block_idx;
+    lane.ctx.held_locks_ = 0;
   }
   for (unsigned w = 0; w < warps_; ++w) {
     WarpState& ws = warp_state_[w];
-    const unsigned n = std::min(kWarpSize, block_dim_ - w * kWarpSize);
-    ws.valid = n == kWarpSize ? ~0u : (1u << n) - 1u;
     ws.ready = ws.valid;
     ws.parked = 0;
     ws.barrier = 0;

@@ -52,7 +52,8 @@ class BlockExec {
   BlockExec(const BlockExec&) = delete;
   BlockExec& operator=(const BlockExec&) = delete;
 
-  /// (Re)sizes lane state for a launch configuration.
+  /// (Re)sizes lane state for a launch configuration and writes every lane
+  /// context field that stays the same across the launch's blocks.
   void prepare(unsigned grid_dim, unsigned block_dim, std::size_t shared_bytes,
                KernelRef kernel);
 

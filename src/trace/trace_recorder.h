@@ -95,9 +95,12 @@ class TraceRecorder final : public gpu::LaunchObserver, public MarkerSink {
   std::size_t capacity_;
   std::unique_ptr<Ring[]> rings_;  ///< [num_sms] per-SM + [num_sms_] host
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::uint32_t> kernel_seq_{0};
   std::chrono::steady_clock::time_point epoch_;
+  /// Bumped by every event from every SM: on a line of its own, so the
+  /// bump does not invalidate the read-mostly fields above on other SMs.
+  alignas(gpu::kDestructiveInterferenceSize)
+      std::atomic<std::uint64_t> seq_{0};
 };
 
 /// Stamps the calling lane's geometry onto `ev`: every lane-scoped record

@@ -1,6 +1,7 @@
 #include "workloads/workgen.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <numeric>
 
@@ -104,6 +105,43 @@ WorkGenResult run_workgen_baseline(gpu::Device& dev,
   return result;
 }
 
+std::uint64_t count_transactions(std::span<const std::uint64_t> bases,
+                                 std::span<const std::uint32_t> words,
+                                 std::uint64_t stride) {
+  struct Run {
+    std::uint64_t base;
+    std::uint32_t words;
+  };
+  std::uint64_t transactions = 0;
+  for (std::size_t first = 0; first < bases.size(); first += gpu::kWarpSize) {
+    const std::size_t end =
+        std::min(bases.size(), first + std::size_t{gpu::kWarpSize});
+    // The warp's lanes in base order. Every lane steps by the same stride,
+    // so its lines stay in that order at every step, and counting line
+    // changes counts distinct lines. A lane leaves once its block ends.
+    std::array<Run, gpu::kWarpSize> live;
+    unsigned n = 0;
+    for (std::size_t rank = first; rank < end; ++rank) {
+      if (words[rank] != 0) live[n++] = {bases[rank], words[rank]};
+    }
+    std::sort(live.begin(), live.begin() + n,
+              [](const Run& a, const Run& b) { return a.base < b.base; });
+    for (std::uint64_t w = 0; n != 0; ++w) {
+      std::uint64_t prev_line = 0;
+      unsigned kept = 0;
+      for (unsigned k = 0; k < n; ++k) {
+        const std::uint64_t line =
+            (live[k].base + w * stride) / gpu::kTransactionBytes;
+        if (k == 0 || line != prev_line) ++transactions;
+        prev_line = line;
+        if (live[k].words > w + 1) live[kept++] = live[k];
+      }
+      n = kept;
+    }
+  }
+  return transactions;
+}
+
 AccessPerfResult run_access_perf(gpu::Device& dev, core::MemoryManager& mgr,
                                  std::size_t threads, std::size_t size_min,
                                  std::size_t size_max, std::uint64_t seed) {
@@ -147,39 +185,19 @@ AccessPerfResult run_access_perf(gpu::Device& dev, core::MemoryManager& mgr,
   result.baseline_write_ms = bstats.elapsed_ms;
 
   // Coalescing proxy: count 128 B transactions per warp-synchronous step.
-  auto count_transactions = [&](auto address_of) {
-    std::uint64_t transactions = 0;
-    for (std::size_t warp = 0; warp * gpu::kWarpSize < threads; ++warp) {
-      std::size_t max_words_in_warp = 0;
-      for (unsigned lane = 0; lane < gpu::kWarpSize; ++lane) {
-        const std::size_t rank = warp * gpu::kWarpSize + lane;
-        if (rank >= threads) break;
-        max_words_in_warp =
-            std::max<std::size_t>(max_words_in_warp, sizes[rank] / 4);
-      }
-      for (std::size_t w = 0; w < max_words_in_warp; ++w) {
-        std::uint64_t lines[gpu::kWarpSize];
-        unsigned active = 0;
-        for (unsigned lane = 0; lane < gpu::kWarpSize; ++lane) {
-          const std::size_t rank = warp * gpu::kWarpSize + lane;
-          if (rank >= threads || w >= sizes[rank] / 4) continue;
-          const std::uint64_t addr = address_of(rank, w);
-          lines[active++] = addr / gpu::kTransactionBytes;
-        }
-        std::sort(lines, lines + active);
-        transactions += std::unique(lines, lines + active) - lines;
-      }
-    }
-    return transactions;
-  };
-
-  result.transactions = count_transactions([&](std::size_t rank, std::size_t w) {
-    return reinterpret_cast<std::uint64_t>(ptrs[rank]) + w * 4;
-  });
+  // A failed allocation (nullptr) counts as a block at address 0.
+  std::vector<std::uint64_t> bases(threads);
+  std::vector<std::uint32_t> words(threads);
+  for (std::size_t rank = 0; rank < threads; ++rank) {
+    bases[rank] = reinterpret_cast<std::uint64_t>(ptrs[rank]);
+    words[rank] = sizes[rank] / 4;
+  }
+  result.transactions = count_transactions(bases, words, 4);
+  for (std::size_t rank = 0; rank < threads; ++rank) {
+    bases[rank] = reinterpret_cast<std::uint64_t>(&dense[rank]);
+  }
   result.baseline_transactions =
-      count_transactions([&](std::size_t rank, std::size_t w) {
-        return reinterpret_cast<std::uint64_t>(&dense[w * threads + rank]);
-      });
+      count_transactions(bases, words, std::uint64_t{4} * threads);
 
   if (mgr.traits().supports_free && mgr.traits().individual_free) {
     dev.launch_n(threads, [&](gpu::ThreadCtx& t) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/memory_manager.h"
@@ -51,5 +52,13 @@ struct AccessPerfResult {
 AccessPerfResult run_access_perf(gpu::Device& dev, core::MemoryManager& mgr,
                                  std::size_t threads, std::size_t size_min,
                                  std::size_t size_max, std::uint64_t seed);
+
+/// The coalescing proxy behind AccessPerfResult: lane `rank` writes the
+/// words at `bases[rank] + w * stride` for w < `words[rank]` (the spans are
+/// equally long), warps are 32 consecutive ranks, and each warp-synchronous
+/// step w costs one 128 B transaction per distinct line its lanes touch.
+std::uint64_t count_transactions(std::span<const std::uint64_t> bases,
+                                 std::span<const std::uint32_t> words,
+                                 std::uint64_t stride);
 
 }  // namespace gms::work

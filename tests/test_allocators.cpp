@@ -393,6 +393,152 @@ TEST(ScatterAlloc, SmallHeapKeepsOneChunkSuperBlock) {
   EXPECT_THROW(ScatterAlloc(small, 4u << 20), core::ConfigError);
 }
 
+TEST(ScatterAlloc, PinnedGeometryWrapsActiveSuperBlock) {
+  // 8 KiB pages, 256-page super blocks, 16-page regions, stride 3: an 8 MiB
+  // heap holds three 2 MiB super blocks, two of them for chunks. One lane
+  // fills both with 4 KiB chunks (two per page), so the shared active super
+  // block advances and wraps; a free in each then shows the wrapped probe
+  // finding the hole. Offsets and atomic counts are pinned exactly.
+  Device local(16u << 20, GpuConfig{.num_sms = 1});
+  ScatterAlloc::Config cfg;
+  cfg.page_size = 8192;
+  cfg.pages_per_superblock = 256;
+  cfg.pages_per_region = 16;
+  cfg.hash_stride = 3;
+  ScatterAlloc mgr(local, 8u << 20, cfg);
+  ASSERT_EQ(mgr.num_pages(), 768u);
+  auto off = [&](const void* p) { return local.arena().offset_of(p); };
+
+  std::vector<void*> fill(1026, nullptr);
+  const auto a = local.launch(1, 1, [&](ThreadCtx& t) {
+    for (void*& p : fill) p = mgr.malloc(t, 4096);
+  });
+  for (std::size_t i = 0; i < 1024; ++i) ASSERT_NE(fill[i], nullptr) << i;
+  EXPECT_EQ(fill[1024], nullptr);
+  EXPECT_EQ(fill[1025], nullptr);
+  std::set<void*> distinct(fill.begin(), fill.begin() + 1024);
+  EXPECT_EQ(distinct.size(), 1024u);
+  // Super block 0 spans offsets 16,384 to 2,113,535 (the metadata sits
+  // below it); the probe walks it from the lane's hash in steps of 3 pages.
+  EXPECT_EQ(off(fill[0]), 16'384u);
+  EXPECT_EQ(off(fill[1]), 20'480u);
+  EXPECT_EQ(off(fill[511]), 2'093'056u);
+  EXPECT_EQ(off(fill[512]), 2'113'536u);
+  EXPECT_EQ(off(fill[1023]), 4'190'208u);
+  // 512 fresh-page claims and 5 active-super-block moves (0 -> 1 once, then
+  // 1 -> 0 -> 1 for each failed call); no CAS fails on one lane.
+  EXPECT_EQ(a.counters.atomic_load, 225'346u);
+  EXPECT_EQ(a.counters.atomic_store, 512u);
+  EXPECT_EQ(a.counters.atomic_rmw, 2'048u);
+  EXPECT_EQ(a.counters.atomic_cas, 517u);
+  EXPECT_EQ(a.counters.atomic_cas_failed, 0u);
+
+  void* again[2] = {nullptr, nullptr};
+  const auto b = local.launch(1, 1, [&](ThreadCtx& t) {
+    mgr.free(t, fill[5]);
+    mgr.free(t, fill[600]);
+    again[0] = mgr.malloc(t, 4096);
+    again[1] = mgr.malloc(t, 4096);
+  });
+  // The active super block is 1: the first malloc finds its hole there; the
+  // second finds it full, wraps to super block 0 (the one CAS) and takes
+  // the hole there.
+  EXPECT_EQ(again[0], fill[600]);
+  EXPECT_EQ(again[1], fill[5]);
+  EXPECT_EQ(b.counters.atomic_load, 315u);
+  EXPECT_EQ(b.counters.atomic_store, 0u);
+  EXPECT_EQ(b.counters.atomic_rmw, 12u);
+  EXPECT_EQ(b.counters.atomic_cas, 1u);
+  EXPECT_EQ(b.counters.atomic_cas_failed, 0u);
+
+  local.launch(1, 1, [&](ThreadCtx& t) {
+    for (std::size_t i = 0; i < 1024; ++i) mgr.free(t, fill[i]);
+  });
+  // Two blocks of mixed sizes: hierarchical, bitfield and multi-page.
+  constexpr std::size_t kSizes[8] = {16, 48, 100, 200, 1000, 4000, 9000,
+                                     20000};
+  std::vector<void*> mixed(128, nullptr);
+  const auto c = local.launch(2, 64, [&](ThreadCtx& t) {
+    mixed[t.thread_rank()] = mgr.malloc(t, kSizes[t.thread_rank() % 8]);
+  });
+  std::uint64_t digest = 0;
+  for (std::size_t r = 0; r < mixed.size(); ++r) {
+    ASSERT_NE(mixed[r], nullptr) << r;
+    digest += off(mixed[r]) * (r + 1);
+  }
+  EXPECT_EQ(off(mixed[0]), 934'016u);
+  EXPECT_EQ(off(mixed[6]), 4'210'688u);  // 9,000 B: the first multi-page run
+  EXPECT_EQ(off(mixed[127]), 4'841'472u);
+  // 200 B requests take 208 B chunks, which 8 KiB pages hold hierarchically
+  // (FlatPagesHoldAtMost32Chunks).
+  EXPECT_EQ(digest, 15'474'188'064u);
+  EXPECT_EQ(c.counters.atomic_load, 458u);
+  EXPECT_EQ(c.counters.atomic_store, 60u);
+  EXPECT_EQ(c.counters.atomic_rmw, 172u);
+  EXPECT_EQ(c.counters.atomic_cas, 60u);
+  EXPECT_EQ(c.counters.atomic_cas_failed, 0u);
+  local.launch(2, 64, [&](ThreadCtx& t) {
+    mgr.free(t, mixed[t.thread_rank()]);
+  });
+  for (std::size_t page = 0; page < 512; ++page) {
+    ASSERT_EQ(mgr.page_chunk_size(page), 0u) << page;
+  }
+  EXPECT_TRUE(mgr.audit().ok);
+}
+
+TEST(ScatterAlloc, FlatPagesHoldAtMost32Chunks) {
+  // A flat page tracks its chunks in one 32-bit usage word. On 8 KiB pages
+  // 64 chunks of 128 B would fit, so 128 B chunks take the on-page
+  // hierarchy there (63 per page after its level-2 words); a flat page
+  // would run out of usage bits after 32 and spin the 33rd reservation.
+  GpuConfig gpu{.num_sms = 1};
+  gpu.deadlock_pass_limit = 1u << 16;
+  Device local(16u << 20, gpu);
+  ScatterAlloc::Config cfg;
+  cfg.page_size = 8192;
+  cfg.pages_per_superblock = 256;
+  ScatterAlloc mgr(local, 8u << 20, cfg);
+  std::vector<void*> ptrs(64, nullptr);
+  local.launch(1, 1, [&](ThreadCtx& t) {
+    for (void*& p : ptrs) p = mgr.malloc(t, 128);
+  });
+  std::set<std::size_t> pages;
+  for (void* p : ptrs) {
+    ASSERT_NE(p, nullptr);
+    pages.insert(local.arena().offset_of(p) / 8192);
+  }
+  EXPECT_EQ(std::set<void*>(ptrs.begin(), ptrs.end()).size(), 64u);
+  EXPECT_EQ(pages.size(), 2u);
+  EXPECT_TRUE(mgr.audit().ok);
+  local.launch(1, 1, [&](ThreadCtx& t) {
+    for (void* p : ptrs) mgr.free(t, p);
+  });
+  for (std::size_t page = 0; page < mgr.num_pages(); ++page) {
+    ASSERT_EQ(mgr.page_chunk_size(page), 0u) << page;
+  }
+}
+
+TEST(ScatterAlloc, ConstructorRejectsNonPow2Geometry) {
+  // A Config built in code skips the "{k=v}" parser; the constructor still
+  // runs the schema's checks, since the per-call paths shift by all three.
+  Device local(16u << 20, GpuConfig{.num_sms = 1});
+  const std::pair<std::size_t ScatterAlloc::Config::*, const char*> fields[] =
+      {{&ScatterAlloc::Config::page_size, "page_size"},
+       {&ScatterAlloc::Config::pages_per_superblock, "pages_per_superblock"},
+       {&ScatterAlloc::Config::pages_per_region, "pages_per_region"}};
+  for (const auto& [member, name] : fields) {
+    ScatterAlloc::Config cfg;
+    cfg.*member = 3 * (cfg.*member / 4);
+    try {
+      ScatterAlloc mgr(local, 8u << 20, cfg);
+      ADD_FAILURE() << name << " accepted";
+    } catch (const core::ConfigError& e) {
+      EXPECT_EQ(e.kind(), core::ConfigError::Kind::kNotPow2);
+      EXPECT_EQ(e.field(), name);
+    }
+  }
+}
+
 // ---- Reg-Eff -------------------------------------------------------------------
 
 class RegEffVariants : public ::testing::TestWithParam<RegEffAlloc::Config> {};

@@ -516,6 +516,96 @@ TEST(Simt, ChainedLaneErrorIsRethrown) {
   EXPECT_EQ(stats.counters.fibers_created, 0u);
 }
 
+TEST(Simt, BackToBackLaunchesRefreshLaneSetup) {
+  // One SM reuses its lane records across launches and blocks. Each launch
+  // changes the geometry and the shared-memory size (the second one grows
+  // the buffer), and every lane leaves a lock note behind: every lane of
+  // every block must still see its own launch's geometry, a zeroed shared
+  // buffer of the requested size, and no lock notes.
+  Device local(1u << 20, GpuConfig{.num_sms = 1});
+  struct Shape {
+    unsigned grid, block;
+    std::size_t shared;
+  };
+  const Shape shapes[] = {{3, 64, 16}, {5, 96, 4096}, {4, 40, 0}};
+  static std::uint32_t lock_word = 0;
+  for (const Shape& s : shapes) {
+    std::vector<std::uint32_t> bad(s.grid * s.block, 1);
+    local.launch(s.grid, s.block, [&](ThreadCtx& t) {
+      const unsigned in_block = t.lane_id() + t.warp_in_block() * kWarpSize;
+      const auto sh = t.shared();
+      const bool ok =
+          t.block_dim() == s.block && t.grid_dim() == s.grid &&
+          in_block < s.block &&
+          t.thread_rank() == t.block_idx() * s.block + in_block &&
+          t.block_idx() < s.grid && t.lane_id() == in_block % kWarpSize &&
+          t.smid() == 0 && t.num_sms() == 1 && t.held_locks() == 0 &&
+          sh.size() == s.shared &&
+          std::all_of(sh.begin(), sh.end(),
+                      [](std::byte b) { return b == std::byte{0}; });
+      bad[t.thread_rank()] = ok ? 0 : 1;
+      t.note_lock_acquired(&lock_word);
+      t.sync_block();  // every lane has checked before any writes below
+      if (!sh.empty()) sh[in_block % sh.size()] = std::byte{0xAB};
+    }, s.shared);
+    for (std::size_t r = 0; r < bad.size(); ++r) {
+      EXPECT_EQ(bad[r], 0u) << "grid " << s.grid << " block " << s.block
+                            << " rank " << r;
+    }
+  }
+}
+
+TEST(Simt, CollectiveSlotsNeedNoResetBetweenBlocks) {
+  // One SM runs four one-warp blocks on the same lane records, and a lane's
+  // collective slot is not reset between blocks. Blocks 0-2 end with their
+  // odd lanes parked at an explicit-mask sync and broadcast, so each odd
+  // lane's slot keeps a non-zero member mask. Blocks 1, 2 and 3 then open
+  // with an open-group reduction, ballot and coalesce: each entry must
+  // write what its resolution reads, or the stale mask regroups the lanes.
+  Device local(1u << 20, GpuConfig{.num_sms = 1});
+  std::vector<std::uint64_t> got(4 * kWarpSize * 3, 0);
+  const auto stats = local.launch(4, kWarpSize, [&](ThreadCtx& t) {
+    std::uint64_t* out = &got[t.thread_rank() * 3];
+    switch (t.block_idx()) {
+      case 1:
+        out[0] = t.reduce_add(std::uint64_t{t.lane_id()} + 1);
+        break;
+      case 2:
+        out[0] = t.ballot(t.lane_id() < 5);
+        break;
+      case 3: {
+        out[0] = t.coalesce().mask;
+        out[1] = t.scan_exclusive_add(std::uint64_t{1});
+        out[2] = t.shfl(std::uint64_t{t.lane_id()} * 7, 3);
+        return;
+      }
+      default:
+        break;
+    }
+    if (t.lane_id() % 2 == 1) {
+      const auto g = t.coalesce();
+      t.sync_group(g);
+      out[2] = t.broadcast(g, std::uint64_t{t.lane_id()} * 10, g.leader);
+    }
+  });
+  for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+    const auto at = [&](unsigned block, unsigned k) {
+      return got[(block * kWarpSize + lane) * 3 + k];
+    };
+    EXPECT_EQ(at(1, 0), 528u) << lane;  // 1 + 2 + ... + 32
+    EXPECT_EQ(at(2, 0), 0x1Fu) << lane;
+    EXPECT_EQ(at(3, 0), ~0u) << lane;
+    EXPECT_EQ(at(3, 1), lane) << lane;
+    EXPECT_EQ(at(3, 2), 21u) << lane;
+    for (unsigned block = 0; block < 3; ++block) {
+      EXPECT_EQ(at(block, 2), lane % 2 == 1 ? 10u : 0u) << lane;
+    }
+  }
+  // Three collectives end each of blocks 0-2; blocks 1 and 2 open with
+  // one, block 3 runs three.
+  EXPECT_EQ(stats.counters.collectives, 3u * 3 + 2 + 3);
+}
+
 TEST(Simt, WatchdogDiagnosis) {
   // Thread 0 spins forever, the rest park at the block barrier: the
   // cancellation pins this TimeoutDiagnosis, and the device stays usable.

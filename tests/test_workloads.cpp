@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "core/registry.h"
 #include "core/stack_builder.h"
+#include "core/utils.h"
 #include "workloads/alloc_perf.h"
 #include "workloads/fragmentation.h"
 #include "workloads/workgen.h"
@@ -178,6 +182,79 @@ TEST(AccessPerf, OuroborosCloserToBaselineThanCuda) {
   auto cuda = make("CUDA");
   const auto r_cuda = run_access_perf(dev(), *cuda, 4'096, 16, 128, 99);
   EXPECT_LE(r_ouro.transaction_ratio(), r_cuda.transaction_ratio());
+}
+
+// The per-step definition of the coalescing proxy: gather the lines the
+// warp's live lanes touch at step w, sort them and count the distinct ones.
+std::uint64_t transactions_by_sorting(const std::vector<std::uint64_t>& bases,
+                                      const std::vector<std::uint32_t>& words,
+                                      std::uint64_t stride) {
+  std::uint64_t total = 0;
+  for (std::size_t first = 0; first < bases.size(); first += gpu::kWarpSize) {
+    const std::size_t end =
+        std::min(bases.size(), first + std::size_t{gpu::kWarpSize});
+    const std::uint32_t steps =
+        *std::max_element(words.begin() + first, words.begin() + end);
+    for (std::uint64_t w = 0; w < steps; ++w) {
+      std::vector<std::uint64_t> lines;
+      for (std::size_t r = first; r < end; ++r) {
+        if (w < words[r]) {
+          lines.push_back((bases[r] + w * stride) / gpu::kTransactionBytes);
+        }
+      }
+      std::sort(lines.begin(), lines.end());
+      total += std::unique(lines.begin(), lines.end()) - lines.begin();
+    }
+  }
+  return total;
+}
+
+TEST(AccessPerf, TransactionCountMatchesPerStepSort) {
+  // Hand-built layouts of 100 lanes (three full warps and a partial one):
+  // ascending, shuffled, descending, null-holed (a failed allocation is
+  // counted at address 0), overlapping bases, and the dense baseline's
+  // stride. Block lengths vary, so lanes leave at different steps.
+  constexpr std::size_t kLanes = 100;
+  std::vector<std::uint32_t> words(kLanes);
+  std::vector<std::uint64_t> ascending(kLanes);
+  std::uint64_t next = 0x10000;
+  for (std::size_t r = 0; r < kLanes; ++r) {
+    words[r] = static_cast<std::uint32_t>(1 + (r * 7) % 32);
+    ascending[r] = next;
+    next += 16 * ((words[r] * 4 + 15) / 16) + (r % 5 == 0 ? 32 : 0);
+  }
+  std::vector<std::uint64_t> shuffled = ascending;
+  core::SplitMix64 rng(5);
+  for (std::size_t r = kLanes - 1; r > 0; --r) {
+    std::swap(shuffled[r], shuffled[rng.range(0, r)]);
+  }
+  const std::vector<std::uint64_t> descending(ascending.rbegin(),
+                                              ascending.rend());
+  std::vector<std::uint64_t> holed = shuffled;
+  for (std::size_t r = 3; r < kLanes; r += 9) holed[r] = 0;
+  std::vector<std::uint64_t> overlapping(kLanes);
+  for (std::size_t r = 0; r < kLanes; ++r) {
+    overlapping[r] = 0x20000 + 40 * ((r * 13) % 17);
+  }
+  std::vector<std::uint32_t> some_empty = words;
+  for (std::size_t r = 0; r < kLanes; r += 11) some_empty[r] = 0;
+
+  const std::pair<const char*, const std::vector<std::uint64_t>*> layouts[] =
+      {{"ascending", &ascending},
+       {"shuffled", &shuffled},
+       {"descending", &descending},
+       {"holed", &holed},
+       {"overlapping", &overlapping}};
+  for (const auto& [name, bases] : layouts) {
+    for (const auto* w : {&words, &some_empty}) {
+      for (const std::uint64_t stride : {std::uint64_t{4}, 4 * kLanes}) {
+        const std::uint64_t want = transactions_by_sorting(*bases, *w, stride);
+        EXPECT_GT(want, 0u);
+        EXPECT_EQ(count_transactions(*bases, *w, stride), want)
+            << name << " stride " << stride;
+      }
+    }
+  }
 }
 
 }  // namespace
